@@ -29,7 +29,6 @@ from .model import (
     FanAngles,
     OutcomeSequence,
     PartyFunctional,
-    PartySplit,
     PhaseDistribution,
     normalize_angle,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "OptimizationResult",
     "OutcomeSequence",
     "PartyFunctional",
-    "PartySplit",
     "PeakStats",
     "PhaseDistribution",
     "QuadratureRule",

@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import exact, functional, optimizer, oracle, phase
 from .exact import UnnormalizableConfigError
-from .model import BellFunctionalSpec, ExperimentConfig, OutcomeSequence, PartyFunctional
+from .model import (MIN_RESOLUTION, BellFunctionalSpec, ExperimentConfig, OutcomeSequence,
+                    PartyFunctional)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,6 +50,13 @@ def _load_json(path: str, allowed: set[str], required: set[str]) -> dict:
     return data
 
 
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from err
+
+
 def _experiment_config(data: dict, angles) -> ExperimentConfig:
     try:
         return ExperimentConfig(int(data["n_plus"]), int(data["n_minus"]), tuple(angles))
@@ -78,7 +85,10 @@ def _functional_from_name(name: str, zero_policy: str) -> PartyFunctional:
     if name == "product":
         return PartyFunctional.product()
     if name == "binned_sign":
-        return PartyFunctional.binned_sign(zero_policy)
+        try:
+            return PartyFunctional.binned_sign(zero_policy)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
     if name == "pair_average":
         return PartyFunctional.pair_average()
     raise ConfigError(f"unknown functional {name!r}")
@@ -98,24 +108,27 @@ def _bell_spec(data: dict, n: int) -> tuple[BellFunctionalSpec, str]:
         p = data.get("p")
         if p is None:
             raise ConfigError("bchsh spec needs p (Alice's measurement count)")
-        p = int(p)
+        p = _int(p, "p")
         if not 1 <= p <= n - 1:
             raise ConfigError(f"p={p} must satisfy 1 <= p <= n-1")
         fa = _functional_from_name(data.get("alice_functional", "product"), zero_policy)
         fb = _functional_from_name(data.get("bob_functional", "product"), zero_policy)
         return BellFunctionalSpec.bchsh(p, n - p, fa, fb), law
     if form in ("double_bchsh", "triple_bchsh"):
+        double = form == "double_bchsh"
         counts = data.get("counts")
-        if counts is None:
-            counts = (optimizer.double_letter_counts(n) if form == "double_bchsh"
-                      else optimizer.triple_letter_counts(n))
-        else:
+        try:
+            if counts is None:
+                counts = (optimizer.double_letter_counts(n) if double
+                          else optimizer.triple_letter_counts(n))
             counts = tuple(int(c) for c in counts)
-            if sum(counts) != n:
-                raise ConfigError("letter counts must add up to n")
-        maker = (BellFunctionalSpec.double_bchsh if form == "double_bchsh"
-                 else BellFunctionalSpec.triple_bchsh)
-        return maker(counts), law
+            maker = BellFunctionalSpec.double_bchsh if double else BellFunctionalSpec.triple_bchsh
+            spec = maker(counts)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{form} letter counts: {err}") from err
+        if sum(counts) != n:
+            raise ConfigError("letter counts must add up to n")
+        return spec, law
     raise ConfigError("form must be bchsh, double_bchsh or triple_bchsh")
 
 
@@ -141,20 +154,25 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def cmd_qmax(args) -> int:
-    data = _load_json(args.spec, _SPEC_KEYS, {"form", "n"})
-    n = int(data["n"])
-    if n < 2 or n % 2:
-        raise ConfigError("n must be even and at least 2")
+def _maximize(args, data: dict, n: int) -> optimizer.OptimizationResult:
+    """The fan or free maximum at particle number ``n``, as ``args.mode`` asks."""
     spec, law = _bell_spec(data, n)
     if args.mode == "fan":
-        if spec.form != "bchsh":
-            raise ConfigError("fan mode applies to the bchsh form")
-        result = optimizer.maximize_fan(spec, n)
-    else:
-        result = optimizer.maximize_free(
-            spec, n // 2, n // 2, restarts=args.restarts, seed=args.seed,
-            law=law, threads=args.threads)
+        if spec.form != "bchsh" or any(f.kind != "product" for _, f in spec.party_layout):
+            raise ConfigError("fan mode applies to the bchsh form with product functionals")
+        return optimizer.maximize_fan(spec, n)
+    if args.restarts < 1:
+        raise ConfigError("restarts must be positive")
+    return optimizer.maximize_free(spec, n // 2, n // 2, restarts=args.restarts,
+                                   seed=args.seed, law=law)
+
+
+def cmd_qmax(args) -> int:
+    data = _load_json(args.spec, _SPEC_KEYS, {"form", "n"})
+    n = _int(data["n"], "n")
+    if n < 2 or n % 2:
+        raise ConfigError("n must be even and at least 2")
+    result = _maximize(args, data, n)
     payload = {
         "q_max": result.q_max,
         "angles": [float(a) for a in result.angles],
@@ -173,14 +191,7 @@ def cmd_scan(args) -> int:
     n_values = range(args.n_min, args.n_max + 1, args.n_step)
     lines = ["n,q_max,chi"]
     for n in n_values:
-        spec, law = _bell_spec(data, n)
-        if args.mode == "fan":
-            if spec.form != "bchsh":
-                raise ConfigError("fan mode applies to the bchsh form")
-            res = optimizer.maximize_fan(spec, n)
-        else:
-            res = optimizer.maximize_free(spec, n // 2, n // 2, restarts=args.restarts,
-                                          seed=args.seed, law=law, threads=args.threads)
+        res = _maximize(args, data, n)
         chi = "" if res.chi is None else _fmt(res.chi)
         lines.append(f"{n},{_fmt(res.q_max)},{chi}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -216,7 +227,9 @@ def cmd_phase(args) -> int:
         etas = OutcomeSequence(tuple(int(e) for e in outcomes)).etas if outcomes else ()
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
-    resolution = int(data.get("resolution", args.resolution))
+    resolution = _int(data.get("resolution", args.resolution), "resolution")
+    if resolution < MIN_RESOLUTION:
+        raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}")
     dist = phase.phase_posterior(angles, etas, resolution=resolution)
     lines = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(dist.grid, dist.values)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -255,23 +268,11 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FOCKBELL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockbell",
         description="Exact Bell-test statistics for double Fock spin condensates",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism (default: FOCKBELL_THREADS or all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("correlate", help="product correlations for configured angle sets")
@@ -324,16 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = _default_threads()
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, functional.EnumerationLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnnormalizableConfigError as err:
+    except (UnnormalizableConfigError, phase.ConditioningError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

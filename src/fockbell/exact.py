@@ -10,7 +10,8 @@ the two against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -40,7 +41,11 @@ _MAX_TREE_M = 20
 
 
 class UnnormalizableConfigError(ValueError):
-    """Raised when the configuration's normalization coefficient vanishes."""
+    """Raised when the configuration's normalization coefficient vanishes.
+
+    C_N = binom(N, n_plus) / 2**N is positive, but it underflows to 0.0 once
+    the populations are unequal enough at large N (n_plus = 0, n_minus = 1100).
+    """
 
 
 @dataclass(frozen=True)
@@ -89,15 +94,139 @@ def normalization_cn(n_plus: int, n_minus: int) -> float:
     return math.exp(lgamma(n + 1) - lgamma(n_plus + 1) - lgamma(n_minus + 1) - n * math.log(2.0))
 
 
-def _bracket_grid(config: ExperimentConfig):
-    """Common (Lambda, lambda) grid pieces for the double-integral formulas."""
-    rule = QuadratureRule.for_particles(config.n)
-    nodes = rule.nodes
-    cos_l = np.cos(nodes)[:, None]          # cos(Lambda), big-angle axis 0
-    lam = nodes[None, :]                    # lambda, axis 1
-    diff = config.n_plus - config.n_minus
-    weight = np.cos(diff * nodes)[:, None] * cos_l ** (config.n - config.m)
-    return cos_l, lam, weight
+@dataclass(frozen=True)
+class _Bracket:
+    """The (Lambda, lambda) quadrature behind every statistic in this package.
+
+    A statistic of M measurements is the grid mean of
+    ``weight(M) * prod_j bracket(eta_j, phi_j)`` over ``denominator(M)``:
+    the bracket is cos(Lambda) + eta cos(lambda - phi), the weight
+    cos(d Lambda) cos(Lambda)**(N - M) with d = n_plus - n_minus, and the
+    denominator 2**M C_N.  Lambda runs along axis 0, lambda along axis 1.
+
+    The quantum law puts K = 2(N + 2) trapezoid nodes on each axis.  The
+    classical-phase law is the same integral with one Lambda node, where
+    cos(Lambda) = 1 and the weight is 1, C_N = 1 and 2(M + 2) lambda nodes.
+    """
+
+    cos_big: np.ndarray   # cos(Lambda), shape (K_Lambda, 1)
+    phase: np.ndarray     # cos(d Lambda), shape (K_Lambda, 1)
+    lam: np.ndarray       # lambda nodes, shape (1, K_lambda)
+    n: int
+    d: int
+    cn: float
+
+    def __post_init__(self) -> None:
+        # instances are cached and shared, so their arrays must stay as built
+        for a in (self.cos_big, self.phase, self.lam):
+            a.flags.writeable = False
+
+    @classmethod
+    @lru_cache(maxsize=32)
+    def quantum(cls, n_plus: int, n_minus: int) -> "_Bracket":
+        n, d = n_plus + n_minus, n_plus - n_minus
+        nodes = QuadratureRule.for_particles(n).nodes
+        return cls(np.cos(nodes)[:, None], np.cos(d * nodes)[:, None], nodes[None, :],
+                   n, d, normalization_cn(n_plus, n_minus))
+
+    @classmethod
+    @lru_cache(maxsize=32)
+    def classical(cls, m: int) -> "_Bracket":
+        one = np.ones((1, 1))
+        return cls(one, one, QuadratureRule(2 * (m + 2)).nodes[None, :], m, 0, 1.0)
+
+    @classmethod
+    def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
+        if law == "exact":
+            return cls.quantum(n_plus, n_minus)
+        if law == "classical":
+            return cls.classical(m)
+        raise ValueError(f"unknown probability law {law!r}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.cos_big.shape[0], self.lam.shape[1]
+
+    def weight(self, m: int) -> np.ndarray:
+        """cos(d Lambda) cos(Lambda)**(N - m) for m measurements."""
+        return self.phase * self.cos_big ** (self.n - m)
+
+    def transverse(self, phi: float) -> np.ndarray:
+        """cos(lambda - phi)."""
+        return np.cos(self.lam - phi)
+
+    def bracket(self, eta, phi: float) -> np.ndarray:
+        """cos(Lambda) + eta cos(lambda - phi) over the grid."""
+        return self.cos_big + eta * self.transverse(phi)
+
+    def denominator(self, m: int) -> float:
+        """2**m C_N, which turns an m-bracket grid mean into a probability."""
+        if self.cn <= 0.0:
+            raise UnnormalizableConfigError("unnormalizable configuration")
+        return 2 ** m * self.cn
+
+    def chunks(self, size: int):
+        """The grid cells in flat runs of at most ``size``, each a rule of its own."""
+        flat = [np.broadcast_to(a, self.shape).ravel()
+                for a in (self.cos_big, self.phase, self.lam)]
+        for start in range(0, flat[0].size, size):
+            cos_big, phase, lam = (a[start:start + size] for a in flat)
+            yield replace(self, cos_big=cos_big, phase=phase, lam=lam)
+
+
+def _sequence(kernel: _Bracket, etas, angles) -> float:
+    """Probability of one outcome sequence; tiny negative round-off is clamped to 0."""
+    m = len(angles)
+    integrand = kernel.weight(m)
+    for eta, phi in zip(etas, angles):
+        integrand = integrand * kernel.bracket(eta, phi)
+    value = float(integrand.mean()) / kernel.denominator(m)
+    if value < -1e-12:
+        raise FloatingPointError(f"probability fell to {value}, beyond round-off")
+    return max(value, 0.0)
+
+
+def _table(kernel: _Bracket, angles) -> np.ndarray:
+    """All 2**M sequence probabilities, bit j of the index set when outcome j is +1.
+
+    The bracket products are built over a binary tree in one buffer, so each
+    sequence costs O(1) grid multiplications; the grid is chunked to bound
+    the buffer.
+    """
+    m = len(angles)
+    if m > _MAX_TREE_M:
+        raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
+    denominator = kernel.denominator(m)
+    out = np.zeros(2 ** m)
+    for part in kernel.chunks(max(1, _TREE_BUDGET // (2 ** m))):
+        tree = np.empty((2 ** m, part.lam.size))
+        tree[0] = part.weight(m)
+        for j, phi in enumerate(angles):
+            # rows [0, 2**j) hold the histories so far; outcome j sets bit j
+            np.multiply(tree[:2 ** j], part.bracket(1, phi), out=tree[2 ** j:2 ** (j + 1)])
+            tree[:2 ** j] *= part.bracket(-1, phi)
+        out += tree.sum(axis=1)
+    out /= kernel.shape[0] * kernel.shape[1] * denominator
+    np.clip(out, 0.0, None, out=out)
+    return out
+
+
+def _product(kernel: _Bracket, rows) -> np.ndarray:
+    """Product-of-results averages, one per angle row of the (R, M) array ``rows``.
+
+    Summed over its outcome each bracket leaves 2 cos(lambda - phi), so the
+    integrand separates: the Lambda mean of the weight times the lambda mean
+    of the cosine product.  The average is exactly 0 for odd M, and when
+    |d| > N - M leaves the weight no constant term; it is set to 0 there
+    rather than left to round-off, which the division by C_N would amplify.
+    """
+    rows = np.asarray(rows, dtype=float)
+    norm = kernel.denominator(0)
+    m = rows.shape[1]
+    if m % 2 or abs(kernel.d) > kernel.n - m:
+        return np.zeros(rows.shape[0])
+    lam_mean = np.cos(kernel.lam[None] - rows[:, :, None]).prod(axis=1).mean(axis=1)
+    return float(kernel.weight(m).mean()) * lam_mean / norm
 
 
 def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) -> float:
@@ -109,63 +238,22 @@ def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) ->
     """
     if len(outcomes) != config.m:
         raise ValueError("outcome sequence length must match the angle count")
-    cn = normalization_cn(config.n_plus, config.n_minus)
-    if cn <= 0.0:
-        raise UnnormalizableConfigError("unnormalizable configuration")
-    cos_l, lam, integrand = _bracket_grid(config)
-    for eta, phi in zip(outcomes.etas, config.angles):
-        integrand = integrand * (cos_l + eta * np.cos(lam - phi))
-    value = float(integrand.mean()) / (2 ** config.m * cn)
-    if value < -1e-12:
-        raise FloatingPointError(f"probability fell to {value}, beyond round-off")
-    return max(value, 0.0)
+    return _sequence(_Bracket.quantum(config.n_plus, config.n_minus), outcomes.etas,
+                     config.angles)
 
 
 def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
     """Probabilities of all 2**M outcome sequences in one pass.
 
     Index ``i`` holds the sequence whose j-th outcome is +1 exactly when bit
-    j of ``i`` is set.  The bracket products are built over a binary tree so
-    each sequence costs O(1) grid multiplications; the grid is chunked to
-    bound memory.
+    j of ``i`` is set.
     """
-    m = config.m
-    if m > _MAX_TREE_M:
-        raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
-    cn = normalization_cn(config.n_plus, config.n_minus)
-    if cn <= 0.0:
-        raise UnnormalizableConfigError("unnormalizable configuration")
-    cos_l, lam, weight = _bracket_grid(config)
-    shape = (cos_l.shape[0], lam.shape[1])
-    cells = shape[0] * shape[1]
-    chunk = max(1, min(cells, _TREE_BUDGET // (2 ** m)))
-    flat_weight = np.broadcast_to(weight, shape).ravel()
-    flat_cos_l = np.broadcast_to(cos_l, shape).ravel()
-    flat_lam = np.broadcast_to(lam, shape).ravel()
-    out = np.zeros(2 ** m)
-    for start in range(0, cells, chunk):
-        sl = slice(start, start + chunk)
-        tree = flat_weight[sl][None, :]
-        for phi in config.angles:
-            c = np.cos(flat_lam[sl] - phi)
-            minus = tree * (flat_cos_l[sl] - c)
-            plus = tree * (flat_cos_l[sl] + c)
-            tree = np.concatenate([minus, plus], axis=0)
-        out += tree.sum(axis=1)
-    out /= cells * 2 ** m * cn
-    np.clip(out, 0.0, None, out=out)
-    return out
+    return _table(_Bracket.quantum(config.n_plus, config.n_minus), config.angles)
 
 
 def correlation_e(config: ExperimentConfig) -> float:
     """Quantum average of the product of all M results, by direct quadrature."""
-    cn = normalization_cn(config.n_plus, config.n_minus)
-    if cn <= 0.0:
-        raise UnnormalizableConfigError("unnormalizable configuration")
-    cos_l, lam, integrand = _bracket_grid(config)
-    for phi in config.angles:
-        integrand = integrand * np.cos(lam - phi)
-    return float(integrand.mean()) / cn
+    return float(_product(_Bracket.quantum(config.n_plus, config.n_minus), [config.angles])[0])
 
 
 def correlation_e_outcome_sum(config: ExperimentConfig) -> float:
@@ -262,10 +350,6 @@ def correction_factor_g(m: int, n_plus: int, n_minus: int) -> float:
 # local-realist reference model.
 # ---------------------------------------------------------------------------
 
-def _classical_rule(m: int) -> QuadratureRule:
-    return QuadratureRule(2 * (m + 2))
-
-
 def classical_sequence_probability(angles, etas) -> float:
     """Outcome probability under the classical-phase law.
 
@@ -279,32 +363,16 @@ def classical_sequence_probability(angles, etas) -> float:
         raise ValueError("angles and outcomes must pair up")
     if any(e not in (-1, 1) for e in etas):
         raise ValueError("outcomes must be +-1")
-    lam = _classical_rule(len(angles)).nodes
-    integrand = np.ones_like(lam)
-    for eta, phi in zip(etas, angles):
-        integrand = integrand * (1.0 + eta * np.cos(lam - phi))
-    return float(integrand.mean()) / 2 ** len(angles)
+    return _sequence(_Bracket.classical(len(angles)), etas, angles)
 
 
 def classical_all_probabilities(angles) -> np.ndarray:
     """All 2**M outcome probabilities under the classical-phase law."""
     angles = [float(a) for a in angles]
-    m = len(angles)
-    if m > _MAX_TREE_M:
-        raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
-    lam = _classical_rule(m).nodes
-    tree = np.ones((1, lam.size))
-    for phi in angles:
-        c = np.cos(lam - phi)
-        tree = np.concatenate([tree * (1.0 - c), tree * (1.0 + c)], axis=0)
-    return tree.mean(axis=1) / 2 ** m
+    return _table(_Bracket.classical(len(angles)), angles)
 
 
 def classical_product_correlation(angles) -> float:
     """Product-of-results average under the classical-phase law."""
     angles = [float(a) for a in angles]
-    lam = _classical_rule(len(angles)).nodes
-    integrand = np.ones_like(lam)
-    for phi in angles:
-        integrand = integrand * np.cos(lam - phi)
-    return float(integrand.mean())
+    return float(_product(_Bracket.classical(len(angles)), [angles])[0])

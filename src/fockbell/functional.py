@@ -22,18 +22,17 @@ from .model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
 
 __all__ = ["expectation", "bell_value", "semi_mesoscopic_value", "EnumerationLimitError"]
 
-DEFAULT_ENUMERATION_LIMIT = 24
-
 # One BCHSH block: setting variants (x, y), (x', y), (x, y') minus (x', y').
 _BLOCK_VARIANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _BLOCK_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 
 class EnumerationLimitError(ValueError):
-    """Outcome enumeration would be too large.
+    """Outcome enumeration would exceed the full-table limit of M = 20 measurements.
 
-    Use the product fast path (all-product layouts never enumerate) or raise
-    ``enumeration_limit`` explicitly.
+    Layouts that avoid enumeration have no such limit: all-product layouts
+    take the product route, and layouts where every party measures at one
+    angle take the grouped route.
     """
 
 
@@ -91,39 +90,26 @@ def _grouped_angles(config: ExperimentConfig, layout):
 def _expectation_grouped(config: ExperimentConfig, layout, law: str) -> float:
     angles = _grouped_angles(config, layout)
     assert angles is not None
-    if law == "exact":
-        rule = exact.QuadratureRule.for_particles(config.n)
-        nodes = rule.nodes
-        cos_l = np.cos(nodes)[:, None]
-        lam = nodes[None, :]
-        diff = config.n_plus - config.n_minus
-        weight = np.cos(diff * nodes)[:, None] * cos_l ** (config.n - config.m)
-        prod = weight * np.ones_like(lam)
-        denom = 2 ** config.m * exact.normalization_cn(config.n_plus, config.n_minus)
-    else:
-        lam = exact.QuadratureRule(2 * (config.m + 2)).nodes
-        cos_l = np.ones_like(lam)
-        prod = np.ones_like(lam)
-        denom = 2 ** config.m
+    kernel = exact._Bracket.for_law(law, config.n_plus, config.n_minus, config.m)
+    prod = kernel.weight(config.m)
     for phi, (count, func) in zip(angles, layout):
-        plus = cos_l + np.cos(lam - phi)
-        minus = cos_l - np.cos(lam - phi)
-        minus_powers = [np.ones_like(prod)]
+        plus = kernel.bracket(1, phi)
+        minus = kernel.bracket(-1, phi)
+        minus_powers = [np.ones_like(plus)]
         for _ in range(count):
             minus_powers.append(minus_powers[-1] * minus)
-        acc = np.zeros_like(prod)
-        plus_pow = np.ones_like(prod)
+        acc = np.zeros_like(plus)
+        plus_pow = np.ones_like(plus)
         fvals = func.values_table(count)
         for k in range(count + 1):
             acc += comb(count, k) * fvals[k] * plus_pow * minus_powers[count - k]
             if k < count:
                 plus_pow = plus_pow * plus
         prod = prod * acc
-    return float(prod.mean()) / denom
+    return float(prod.mean()) / kernel.denominator(config.m)
 
 
-def expectation(config: ExperimentConfig, layout, *, law: str = "exact",
-                enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> float:
+def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> float:
     """Average of the product of party functional values.
 
     Parameters
@@ -136,8 +122,10 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact",
     law : {"exact", "classical"}
         Outcome distribution: the full quantum law or the classical-phase
         (separable) law.
-    enumeration_limit : int
-        Guard for the general enumeration path.
+
+    Layouts with a party that neither multiplies its results nor measures at
+    a single angle enumerate every outcome sequence and raise
+    :class:`EnumerationLimitError` beyond M = 20.
 
     The result always lies in [-1, 1] because every party value does.
     """
@@ -156,10 +144,10 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact",
     if _grouped_angles(config, layout) is not None:
         return constant * _expectation_grouped(config, layout, law)
 
-    if config.m > enumeration_limit:
+    if config.m > exact._MAX_TREE_M:
         raise EnumerationLimitError(
-            f"M={config.m} exceeds the enumeration limit {enumeration_limit}; use a "
-            "product layout for the closed route or raise enumeration_limit"
+            f"M={config.m} exceeds the outcome-enumeration limit {exact._MAX_TREE_M}; use a "
+            "product layout or one angle per party"
         )
     if law == "exact":
         probs = exact.all_sequence_probabilities(config)
@@ -175,18 +163,6 @@ def _as_party_angles(value, count: int) -> list[float]:
     if arr.size != count:
         raise ValueError(f"setting needs 1 or {count} angles, got {arr.size}")
     return [float(v) for v in arr]
-
-
-def _product_correlation_rows(n_plus: int, n_minus: int, rows: np.ndarray) -> np.ndarray:
-    """Batched product correlations for full measurement sets (M = N)."""
-    n = n_plus + n_minus
-    if n_plus != n_minus:
-        # the number-difference phase integrates to zero once every bracket
-        # contributes a transverse term
-        return np.zeros(rows.shape[0])
-    nodes = exact.QuadratureRule.for_particles(n).nodes
-    integ = np.cos(nodes[None, None, :] - rows[:, :, None]).prod(axis=1).mean(axis=1)
-    return integ / exact.normalization_cn(n_plus, n_minus)
 
 
 def _block_variant_rows(spec: BellFunctionalSpec, angles: np.ndarray):
@@ -209,8 +185,7 @@ def _block_variant_rows(spec: BellFunctionalSpec, angles: np.ndarray):
 
 
 def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
-               *, law: str = "exact",
-               enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> float:
+               *, law: str = "exact") -> float:
     """Quantum average of the Bell quantity for a full angle assignment.
 
     Parameters
@@ -252,8 +227,7 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
                 return exact.gaussian_product_correlation(
                     [(a, 1) for a in row])
             config = ExperimentConfig(n_plus, n_minus, tuple(row))
-            return expectation(config, spec.party_layout, law=law,
-                               enumeration_limit=enumeration_limit)
+            return expectation(config, spec.party_layout, law=law)
 
         return math.fsum(s * term(vx, vy)
                          for (vx, vy), s in zip(_BLOCK_VARIANTS, _BLOCK_SIGNS))
@@ -266,9 +240,7 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     angles = np.asarray([float(a) for a in angles])
     rows, signs = _block_variant_rows(spec, angles)
     prefactor = 2.0 ** (1 - spec.block_count)
-    if law == "exact":
-        corr = _product_correlation_rows(n_plus, n_minus, rows)
-    elif law == "gaussian":
+    if law == "gaussian":
         if n_plus != n_minus:
             raise ValueError("gaussian law assumes equal populations")
         counts = [c for c, _ in spec.party_layout]
@@ -280,10 +252,8 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
         for i, row in enumerate(rows):
             pairs = [(row[step[g]], per_row_counts[g]) for g in range(len(per_row_counts))]
             corr[i] = exact.gaussian_product_correlation(pairs)
-    elif law == "classical":
-        corr = np.array([exact.classical_product_correlation(row) for row in rows])
     else:
-        raise ValueError(f"unknown probability law {law!r}")
+        corr = exact._product(exact._Bracket.for_law(law, n_plus, n_minus, n), rows)
     return prefactor * float(np.dot(signs, corr))
 
 

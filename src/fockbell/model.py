@@ -14,7 +14,6 @@ __all__ = [
     "normalize_angle",
     "ExperimentConfig",
     "OutcomeSequence",
-    "PartySplit",
     "PartyFunctional",
     "BellFunctionalSpec",
     "FanAngles",
@@ -26,6 +25,7 @@ TWO_PI = 2.0 * math.pi
 FUNCTIONAL_KINDS = ("product", "binned_sign", "pair_average")
 ZERO_POLICIES = ("plus_one", "zero", "random")
 BELL_FORMS = ("bchsh", "double_bchsh", "triple_bchsh")
+MIN_RESOLUTION = 8  # fewest nodes of a phase grid
 
 
 def normalize_angle(phi: float) -> float:
@@ -99,22 +99,6 @@ class OutcomeSequence:
 
     def product(self) -> int:
         return -1 if sum(1 for e in self.etas if e < 0) % 2 else 1
-
-
-@dataclass(frozen=True)
-class PartySplit:
-    """Number of measurements assigned to Alice; Bob takes the rest."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("Alice must make at least one measurement")
-
-    def bob_count(self, n: int) -> int:
-        if self.p > n - 1:
-            raise ValueError(f"p={self.p} leaves no measurement for Bob out of {n}")
-        return n - self.p
 
 
 @dataclass(frozen=True)
@@ -311,6 +295,6 @@ class PhaseDistribution:
 
     @staticmethod
     def uniform_grid(resolution: int) -> np.ndarray:
-        if resolution < 8:
+        if resolution < MIN_RESOLUTION:
             raise ValueError("grid too coarse")
         return -math.pi + TWO_PI * np.arange(resolution) / resolution

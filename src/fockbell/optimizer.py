@@ -4,12 +4,11 @@ Two modes: a one-parameter fan search for product BCHSH (where the closed
 form makes very large particle numbers cheap), and a multi-start
 downhill-simplex search over all free angle slots.  Restart start points
 come from a counter-based splitmix stream, so every result is reproducible
-from the seed alone and independent of threading.
+from the seed alone.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,34 +121,30 @@ def _free_slot_count(spec: BellFunctionalSpec, per_measurement: bool) -> int:
     return spec.angle_slots
 
 
-def _slot_objective(spec, n_plus, n_minus, law, per_measurement, enumeration_limit):
+def _slot_objective(spec, n_plus, n_minus, law, per_measurement):
     if spec.form == "bchsh" and per_measurement:
         (ca, _), (cb, _) = spec.party_layout
         cuts = np.cumsum([ca, ca, cb])
 
         def value(slots: np.ndarray) -> float:
             a, ap, b, bp = np.split(slots, cuts)
-            return bell_value(spec, [a, ap, b, bp], n_plus, n_minus, law=law,
-                              enumeration_limit=enumeration_limit)
+            return bell_value(spec, [a, ap, b, bp], n_plus, n_minus, law=law)
     else:
         def value(slots: np.ndarray) -> float:
-            return bell_value(spec, slots, n_plus, n_minus, law=law,
-                              enumeration_limit=enumeration_limit)
+            return bell_value(spec, slots, n_plus, n_minus, law=law)
     return value
 
 
 def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = None, *,
                   restarts: int = 64, seed: int = 0, law: str = "exact",
                   per_measurement: bool = False, start_scale: float | None = None,
-                  threads: int = 1, xatol: float = 1e-9, maxiter: int | None = None,
-                  enumeration_limit: int = 24) -> OptimizationResult:
+                  xatol: float = 1e-9, maxiter: int | None = None) -> OptimizationResult:
     """Maximize the Bell quantity over every free angle slot.
 
     Multi-start Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
     shrink 1/2; stop when the simplex diameter falls under ``xatol``).  The
     first slot is pinned to 0, which costs nothing by shift covariance.  The
-    best restart wins, ties broken toward the lowest restart index, so the
-    outcome is independent of ``threads``.
+    best restart wins, ties broken toward the lowest restart index.
 
     In the gaussian law the optimum shrinks like 1/sqrt(n), so restart boxes
     are scaled accordingly unless ``start_scale`` is given.
@@ -161,7 +156,7 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
         raise ValueError(f"{nslots} angle slots exceed the supported {_MAX_FREE_SLOTS}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    value = _slot_objective(spec, n_plus, n_minus, law, per_measurement, enumeration_limit)
+    value = _slot_objective(spec, n_plus, n_minus, law, per_measurement)
     if start_scale is None:
         if law == "gaussian":
             start_scale = math.pi * math.sqrt(len(spec.party_layout) / (n_plus + n_minus))
@@ -186,14 +181,9 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
         res = minimize(negative, x0, method="Nelder-Mead", options=options)
         return -float(res.fun), res.x, bool(res.success)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, range(restarts)))
-    else:
-        outcomes = [run_restart(i) for i in range(restarts)]
-
     best_val, best_x, best_ok = -math.inf, None, False
-    for val, x, ok in outcomes:  # strict > keeps the lowest-index winner
+    # restarts run in index order; strict > keeps the lowest-index winner
+    for val, x, ok in map(run_restart, range(restarts)):
         if val > best_val:
             best_val, best_x, best_ok = val, x, ok
     angles = np.concatenate([[0.0], best_x])
@@ -227,7 +217,7 @@ def triple_letter_counts(n: int) -> tuple[int, ...]:
 
 
 def scan_qmax_vs_n(spec_for_n, n_values, *, mode: str = "fan", restarts: int = 64,
-                   seed: int = 0, law: str = "exact", threads: int = 1):
+                   seed: int = 0, law: str = "exact"):
     """Maximize over angles for each n and tabulate (n, q_max, chi).
 
     ``spec_for_n`` maps a particle number to the BellFunctionalSpec to use
@@ -242,8 +232,7 @@ def scan_qmax_vs_n(spec_for_n, n_values, *, mode: str = "fan", restarts: int = 6
         if mode == "fan":
             res = maximize_fan(spec, n)
         elif mode == "free":
-            res = maximize_free(spec, n // 2, n // 2, restarts=restarts, seed=seed,
-                                law=law, threads=threads)
+            res = maximize_free(spec, n // 2, n // 2, restarts=restarts, seed=seed, law=law)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         rows.append((n, res.q_max, res.chi))

@@ -94,7 +94,7 @@ def next_outcome_probability(config: ExperimentConfig, history, *,
 
 # ---------------------------------------------------------------------------
 # Batched sequential sampling.  Chains are independent; chain i consumes the
-# Philox stream keyed by (seed, i) regardless of batching or thread count.
+# Philox stream keyed by (seed, i) regardless of batching.
 # ---------------------------------------------------------------------------
 
 def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray:
@@ -106,10 +106,8 @@ def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray
     vector reuse one quadrature evaluation, which removes the per-chain grid
     work entirely when only a few distinct angles occur.
     """
-    n, m = config.n, config.m
-    nodes = exact.QuadratureRule.for_particles(n).nodes
-    cos_l = np.cos(nodes)[:, None]
-    lam = nodes[None, :]
+    m = config.m
+    kernel = exact._Bracket.quantum(config.n_plus, config.n_minus)
     groups: list[float] = []
     group_of = []
     for phi in config.angles:
@@ -117,18 +115,13 @@ def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray
             groups.append(phi)
         group_of.append(groups.index(phi))
     ngroups = len(groups)
-    diff = config.n_plus - config.n_minus
-    base = np.cos(diff * nodes)[:, None] * np.ones_like(lam)
-    cos_l_pow = [np.ones_like(base)]
-    for _ in range(n):
-        cos_l_pow.append(cos_l_pow[-1] * cos_l)
     # bracket powers per group and sign, up to that group's multiplicity
     counts_per_group = [group_of.count(g) for g in range(ngroups)]
     powers = []
     for g, phi in enumerate(groups):
-        plus = cos_l + np.cos(lam - phi)
-        minus = cos_l - np.cos(lam - phi)
-        pp, mp = [np.ones_like(base)], [np.ones_like(base)]
+        plus = kernel.bracket(1, phi)
+        minus = kernel.bracket(-1, phi)
+        pp, mp = [np.ones_like(plus)], [np.ones_like(plus)]
         for _ in range(counts_per_group[g]):
             pp.append(pp[-1] * plus)
             mp.append(mp[-1] * minus)
@@ -140,8 +133,7 @@ def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray
         # state = (plus_0, minus_0, plus_1, minus_1, ...)
         val = cache.get(state)
         if val is None:
-            measured = sum(state)
-            integ = base * cos_l_pow[n - measured]
+            integ = kernel.weight(sum(state))
             for g in range(ngroups):
                 pp, mp = powers[g]
                 integ = integ * pp[state[2 * g]] * mp[state[2 * g + 1]]
@@ -173,29 +165,25 @@ def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray
 
 
 def _sample_exact_batch(config: ExperimentConfig, u: np.ndarray) -> np.ndarray:
-    n, m = config.n, config.m
-    rule = exact.QuadratureRule.for_particles(n)
-    nodes = rule.nodes
-    cos_l = np.cos(nodes)
-    diff = config.n_plus - config.n_minus
-    init = np.cos(diff * nodes)[:, None] * np.ones((1, nodes.size))
+    m = config.m
+    kernel = exact._Bracket.quantum(config.n_plus, config.n_minus)
+    cos_l = kernel.cos_big[:, 0]
     count = u.shape[0]
-    g = np.broadcast_to(init, (count,) + init.shape).copy()
-    cos_pows = cos_l[None, :] ** np.arange(n + 1)[:, None]   # cos^p for each remaining power
+    g = np.ones((count,) + kernel.shape)         # bracket product of each chain's history
     etas = np.empty((count, m), dtype=np.int8)
     for j in range(m):
-        c = np.cos(nodes[None, :] - config.angles[j])
+        phi = config.angles[j]
+        c = kernel.transverse(phi)
         plain = g.sum(axis=2)                    # sum over lambda
         weighted = (g * c).sum(axis=2)
-        pw = cos_pows[n - j - 1]
-        num_plus = ((plain * cos_l[None, :] + weighted) * pw[None, :]).sum(axis=1)
-        total = 2.0 * (plain * cos_pows[n - j][None, :]).sum(axis=1)
+        num_plus = ((plain * cos_l + weighted) * kernel.weight(j + 1)[:, 0]).sum(axis=1)
+        total = 2.0 * (plain * kernel.weight(j)[:, 0]).sum(axis=1)
         if np.any(total <= 0.0):
             raise ConditioningError("conditioning probability vanished during sampling")
         prob_plus = np.clip(num_plus / total, 0.0, 1.0)
         eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
         etas[:, j] = eta
-        g = g * (cos_l[None, :, None] + eta[:, None, None] * c[None, :, :])
+        g = g * kernel.bracket(eta[:, None, None], phi)
         scale = np.abs(g).mean(axis=(1, 2))
         g /= np.maximum(scale, 1e-300)[:, None, None]
     return etas

@@ -193,12 +193,21 @@ class TestOutputFile:
         assert target.read_text().strip().endswith("0.877582561890373")
 
 
-class TestThreads:
-    def test_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FOCKBELL_THREADS", "2")
-        spec = write(tmp_path, "s.json", {"form": "double_bchsh", "n": 4})
-        code, out, _ = run(capsys, ["qmax", spec, "--mode", "free", "--restarts", "4"])
-        assert code == 0
-        monkeypatch.setenv("FOCKBELL_THREADS", "1")
-        _, out_single, _ = run(capsys, ["qmax", spec, "--mode", "free", "--restarts", "4"])
-        assert out == out_single
+class TestExitCodes:
+    @pytest.mark.parametrize("command,payload", [
+        ("phase", {"angles": [0.0], "outcomes": [1], "resolution": 4}),
+        ("qmax", {"form": "bchsh", "n": "abc", "p": 1}),
+        ("qmax", {"form": "bchsh", "n": 4, "p": "z"}),
+    ], ids=["coarse-resolution", "non-numeric-n", "non-numeric-p"])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, command, payload):
+        path = write(tmp_path, "in.json", payload)
+        code, _, err = run(capsys, [command, path])
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_underflowing_normalization_is_numeric_error(self, tmp_path, capsys):
+        # C_N = 2**-1100 underflows to 0.0
+        cfg = write(tmp_path, "c.json", {"n_plus": 0, "n_minus": 1100, "angles": [0.1, 0.2]})
+        code, _, err = run(capsys, ["correlate", cfg])
+        assert code == 3
+        assert err.startswith("error:")

@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fockbell.exact import correlation_closed_form, correlation_e
+from fockbell.exact import (
+    classical_all_probabilities,
+    classical_product_correlation,
+    correlation_closed_form,
+    correlation_e,
+)
 from fockbell.functional import (
     EnumerationLimitError,
+    _functional_table,
     bell_value,
     expectation,
     semi_mesoscopic_value,
@@ -103,7 +109,19 @@ class TestExpectation:
         angles = tuple(0.01 * j for j in range(26))
         cfg = ExperimentConfig(13, 13, angles)
         with pytest.raises(EnumerationLimitError):
-            expectation(cfg, [(13, BINNED), (13, BINNED)], enumeration_limit=10)
+            expectation(cfg, [(13, BINNED), (13, BINNED)])
+        # one past the full-table limit of M = 20, under both laws
+        cfg = ExperimentConfig(11, 11, angles[:21])
+        for law in ("exact", "classical"):
+            with pytest.raises(EnumerationLimitError):
+                expectation(cfg, [(10, BINNED), (11, BINNED)], law=law)
+
+    def test_classical_grouped_equals_enumeration(self):
+        layout = [(3, BINNED_ZERO), (2, PartyFunctional.pair_average()), (1, PRODUCT)]
+        angles = (0.4,) * 3 + (-1.1,) * 2 + (2.3,)
+        cfg = ExperimentConfig(3, 3, angles)
+        want = float(np.dot(_functional_table(layout), classical_all_probabilities(angles)))
+        assert expectation(cfg, layout, law="classical") == pytest.approx(want, abs=1e-12)
 
     def test_layout_counts_must_match(self):
         cfg = ExperimentConfig(2, 2, (0.0, 0.1))
@@ -179,6 +197,21 @@ class TestBellValue:
         exact_val = bell_value(spec, angles, 50, 50)
         gauss_val = bell_value(spec, angles, 50, 50, law="gaussian")
         assert gauss_val == pytest.approx(exact_val, abs=0.02)
+
+    def test_classical_block_form_expands_into_cross_terms(self):
+        # the 16 cross terms of letters (a, b, c, d) measured (1, 2, 1, 2) times
+        spec = BellFunctionalSpec.double_bchsh((1, 2, 1, 2))
+        angles = np.random.default_rng(47).uniform(-np.pi, np.pi, 8)
+        variants = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        signs = [1, 1, 1, -1]
+        total = 0.0
+        for (xa, yb), s1 in zip(variants, signs):
+            for (xc, yd), s2 in zip(variants, signs):
+                row = ([angles[0 + xa]] + [angles[2 + yb]] * 2
+                       + [angles[4 + xc]] + [angles[6 + yd]] * 2)
+                total += s1 * s2 * classical_product_correlation(row)
+        assert bell_value(spec, angles, 3, 3, law="classical") == pytest.approx(
+            0.5 * total, abs=1e-12)
 
     def test_classical_law_never_violates(self):
         spec = BellFunctionalSpec.bchsh(2, 2)

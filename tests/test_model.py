@@ -10,7 +10,6 @@ from fockbell.model import (
     FanAngles,
     OutcomeSequence,
     PartyFunctional,
-    PartySplit,
     PhaseDistribution,
     normalize_angle,
 )
@@ -71,17 +70,6 @@ class TestOutcomeSequence:
     def test_rejects_other_values(self, bad):
         with pytest.raises(ValueError):
             OutcomeSequence(bad)
-
-
-class TestPartySplit:
-    def test_bob_count(self):
-        assert PartySplit(3).bob_count(10) == 7
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            PartySplit(0)
-        with pytest.raises(ValueError):
-            PartySplit(4).bob_count(4)
 
 
 class TestPartyFunctional:
