@@ -16,7 +16,6 @@ from .exact import (
     correction_factor_g,
     correlation_closed_form,
     correlation_e,
-    correlation_e_outcome_sum,
     correlation_gaussian,
     gaussian_product_correlation,
     normalization_cn,
@@ -43,7 +42,6 @@ from .optimizer import (
 from .oracle import (
     SpinStateVector,
     oracle_all_probabilities,
-    oracle_marginal_probability,
     oracle_sequence_probability,
     w_state,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "correction_factor_g",
     "correlation_closed_form",
     "correlation_e",
-    "correlation_e_outcome_sum",
     "correlation_gaussian",
     "double_letter_counts",
     "expectation",
@@ -92,7 +89,6 @@ __all__ = [
     "normalization_cn",
     "normalize_angle",
     "oracle_all_probabilities",
-    "oracle_marginal_probability",
     "oracle_sequence_probability",
     "peak_statistics",
     "phase_posterior",

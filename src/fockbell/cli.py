@@ -53,14 +53,14 @@ def _load_json(path: str, allowed: set[str], required: set[str]) -> dict:
 def _int(value, name: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from err
 
 
 def _experiment_config(data: dict, angles) -> ExperimentConfig:
     try:
         return ExperimentConfig(int(data["n_plus"]), int(data["n_minus"]), tuple(angles))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err)) from err
 
 
@@ -68,9 +68,12 @@ def _angle_list(raw, name: str) -> list[float]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{name} must be a non-empty list of angles")
     try:
-        return [float(a) for a in raw]
+        angles = [float(a) for a in raw]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} holds a non-numeric entry") from err
+    if not all(map(math.isfinite, angles)):
+        raise ConfigError(f"{name} holds a non-finite entry")
+    return angles
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -124,7 +127,7 @@ def _bell_spec(data: dict, n: int) -> tuple[BellFunctionalSpec, str]:
             counts = tuple(int(c) for c in counts)
             maker = BellFunctionalSpec.double_bchsh if double else BellFunctionalSpec.triple_bchsh
             spec = maker(counts)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{form} letter counts: {err}") from err
         if sum(counts) != n:
             raise ConfigError("letter counts must add up to n")
@@ -225,7 +228,7 @@ def cmd_phase(args) -> int:
         raise ConfigError("angles and outcomes must have equal length")
     try:
         etas = OutcomeSequence(tuple(int(e) for e in outcomes)).etas if outcomes else ()
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err)) from err
     resolution = _int(data.get("resolution", args.resolution), "resolution")
     if resolution < MIN_RESOLUTION:

@@ -25,7 +25,6 @@ __all__ = [
     "sequence_probability",
     "all_sequence_probabilities",
     "correlation_e",
-    "correlation_e_outcome_sum",
     "correlation_closed_form",
     "correlation_gaussian",
     "gaussian_product_correlation",
@@ -175,12 +174,15 @@ class _Bracket:
 
 
 def _sequence(kernel: _Bracket, etas, angles) -> float:
-    """Probability of one outcome sequence; tiny negative round-off is clamped to 0."""
-    m = len(angles)
-    integrand = kernel.weight(m)
+    """Probability of one outcome sequence; tiny negative round-off is clamped to 0.
+
+    The factor 2**-M of the denominator goes into each bracket, so long
+    sequences neither overflow 2**M nor the bracket product.
+    """
+    integrand = kernel.weight(len(angles))
     for eta, phi in zip(etas, angles):
-        integrand = integrand * kernel.bracket(eta, phi)
-    value = float(integrand.mean()) / kernel.denominator(m)
+        integrand = integrand * (0.5 * kernel.bracket(eta, phi))
+    value = float(integrand.mean()) / kernel.denominator(0)
     if value < -1e-12:
         raise FloatingPointError(f"probability fell to {value}, beyond round-off")
     return max(value, 0.0)
@@ -254,23 +256,6 @@ def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
 def correlation_e(config: ExperimentConfig) -> float:
     """Quantum average of the product of all M results, by direct quadrature."""
     return float(_product(_Bracket.quantum(config.n_plus, config.n_minus), [config.angles])[0])
-
-
-def correlation_e_outcome_sum(config: ExperimentConfig) -> float:
-    """Same average as :func:`correlation_e` via the explicit outcome sum.
-
-    Kept as a permanent second route; the two must agree to round-off.
-    """
-    probs = all_sequence_probabilities(config)
-    idx = np.arange(probs.size, dtype=np.uint32)
-    # parity of minus-outcomes = m - popcount(index)
-    pop = np.zeros(probs.size, dtype=np.int64)
-    x = idx.copy()
-    while x.any():
-        pop += x & 1
-        x >>= 1
-    signs = np.where((config.m - pop) % 2, -1.0, 1.0)
-    return float(np.dot(signs, probs))
 
 
 def correlation_closed_form(n: int, p: int, chi: float) -> float:

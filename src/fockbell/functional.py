@@ -13,6 +13,7 @@ approximation).  Three routes are kept and cross-checked in the tests:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -165,23 +166,17 @@ def _as_party_angles(value, count: int) -> list[float]:
     return [float(v) for v in arr]
 
 
-def _block_variant_rows(spec: BellFunctionalSpec, angles: np.ndarray):
-    """Angle rows and signs for every cross term of the block-product forms."""
-    counts = [c for c, _ in spec.party_layout]
-    blocks = spec.block_count
-    rows, signs = [[]], [1.0]
+@lru_cache(maxsize=4)
+def _block_terms(blocks: int):
+    """Angle slot of every letter, one row per cross term (block 0 varying fastest), and signs."""
+    slots, signs = np.empty((1, 0), dtype=int), np.ones(1)
     for b in range(blocks):
-        new_rows, new_signs = [], []
-        cx, cy = counts[2 * b], counts[2 * b + 1]
-        base = 4 * b
-        for (vx, vy), s in zip(_BLOCK_VARIANTS, _BLOCK_SIGNS):
-            ax = angles[base + 0 + vx]
-            ay = angles[base + 2 + vy]
-            for row, rs in zip(rows, signs):
-                new_rows.append(row + [ax] * cx + [ay] * cy)
-                new_signs.append(rs * s)
-        rows, signs = new_rows, new_signs
-    return np.asarray(rows), np.asarray(signs)
+        block = 4 * b + np.array([(vx, 2 + vy) for vx, vy in _BLOCK_VARIANTS])
+        rows = slots.shape[0]
+        slots = np.hstack([np.tile(slots, (4, 1)), np.repeat(block, rows, axis=0)])
+        signs = np.tile(signs, 4) * np.repeat(_BLOCK_SIGNS, rows)
+    slots.flags.writeable = signs.flags.writeable = False   # cached and shared
+    return slots, signs
 
 
 def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
@@ -238,21 +233,16 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     if spec.m != n:
         raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
     angles = np.asarray([float(a) for a in angles])
-    rows, signs = _block_variant_rows(spec, angles)
+    slots, signs = _block_terms(spec.block_count)
+    letters = angles[slots]
+    counts = [c for c, _ in spec.party_layout]
     prefactor = 2.0 ** (1 - spec.block_count)
     if law == "gaussian":
         if n_plus != n_minus:
             raise ValueError("gaussian law assumes equal populations")
-        counts = [c for c, _ in spec.party_layout]
-        per_row_counts = []
-        for b in range(spec.block_count):
-            per_row_counts += [counts[2 * b], counts[2 * b + 1]]
-        corr = np.empty(rows.shape[0])
-        step = np.cumsum([0] + per_row_counts)
-        for i, row in enumerate(rows):
-            pairs = [(row[step[g]], per_row_counts[g]) for g in range(len(per_row_counts))]
-            corr[i] = exact.gaussian_product_correlation(pairs)
+        corr = [exact.gaussian_product_correlation(zip(row, counts)) for row in letters]
     else:
+        rows = np.repeat(letters, counts, axis=1)
         corr = exact._product(exact._Bracket.for_law(law, n_plus, n_minus, n), rows)
     return prefactor * float(np.dot(signs, corr))
 

@@ -18,7 +18,6 @@ __all__ = [
     "w_state",
     "oracle_sequence_probability",
     "oracle_all_probabilities",
-    "oracle_marginal_probability",
 ]
 
 _MAX_SPINS = 14
@@ -80,16 +79,21 @@ def _apply_projector(amps: np.ndarray, n: int, spin: int, phi: float, eta: int) 
 
 
 def oracle_sequence_probability(state: SpinStateVector, angles, outcomes) -> float:
-    """Probability of a full outcome sequence, one measurement per spin.
+    """Probability of the outcomes of the first m spins, 1 <= m <= n.
 
     Applies the commuting single-spin projectors in turn and takes the
     overlap with the original state; the imaginary part must vanish to
-    round-off and is asserted before being dropped.
+    round-off and is asserted before being dropped.  For m < n this is the
+    marginal: summed over the results of an unmeasured spin its two
+    projectors add to the identity, so the completion sum collapses to the
+    m performed projectors (the tests check the explicit sum).
     """
     angles = [float(a) for a in angles]
     etas = [int(e) for e in outcomes]
-    if len(angles) != state.n or len(etas) != state.n:
-        raise ValueError("need exactly one angle and one outcome per spin")
+    if len(angles) != len(etas):
+        raise ValueError("angles and outcomes must pair up")
+    if not 1 <= len(angles) <= state.n:
+        raise ValueError(f"need between 1 and {state.n} measurements, got {len(angles)}")
     if any(e not in (-1, 1) for e in etas):
         raise ValueError("outcomes must be +-1")
     amps = state.amplitudes
@@ -125,28 +129,3 @@ def oracle_all_probabilities(state: SpinStateVector, angles) -> np.ndarray:
         tensor = np.moveaxis(moved, -1, axis)
     probs = np.abs(tensor.reshape(-1)) ** 2
     return probs
-
-
-def oracle_marginal_probability(state: SpinStateVector, angles, outcomes) -> float:
-    """Probability of the first m < n outcomes, remaining spins unmeasured.
-
-    Summing the full-sequence probability over all completions collapses,
-    because the two projectors of an unmeasured spin add to the identity; so
-    the marginal is the overlap after applying only the m performed
-    projectors.  (The explicit completion sum is exercised in the tests.)
-    """
-    angles = [float(a) for a in angles]
-    etas = [int(e) for e in outcomes]
-    if len(angles) != len(etas):
-        raise ValueError("angles and outcomes must pair up")
-    if len(angles) >= state.n:
-        raise ValueError("marginal requires m < n; use the full-sequence routine")
-    if any(e not in (-1, 1) for e in etas):
-        raise ValueError("outcomes must be +-1")
-    amps = state.amplitudes
-    for spin, (phi, eta) in enumerate(zip(angles, etas)):
-        amps = _apply_projector(amps, state.n, spin, phi, eta)
-    overlap = complex(np.vdot(state.amplitudes, amps))
-    if abs(overlap.imag) >= _IMAG_TOL:
-        raise FloatingPointError(f"probability acquired imaginary part {overlap.imag}")
-    return max(overlap.real, 0.0)

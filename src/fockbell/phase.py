@@ -63,33 +63,23 @@ def phase_posterior(angles, outcomes, resolution: int = DEFAULT_RESOLUTION) -> P
 
 
 def next_outcome_probability(config: ExperimentConfig, history, *,
-                             mode: str = "exact",
-                             resolution: int = DEFAULT_RESOLUTION) -> float:
+                             mode: str = "exact") -> float:
     """Probability that the next measurement gives +1, given the history.
 
-    The next angle is ``config.angles[len(history)]``.  Exact mode takes the
-    ratio of joint sequence probabilities; classical mode integrates the
-    single-spin probability against the normalized phase posterior.
+    The next angle is ``config.angles[len(history)]``.  This is the chain-rule
+    conditional the samplers draw from, under the quantum (``"exact"``) or
+    the classical-phase law, taken from the same renormalized history state.
     """
-    etas = list(history.etas if isinstance(history, OutcomeSequence) else map(int, history))
-    m = len(etas)
+    if not isinstance(history, OutcomeSequence):
+        history = OutcomeSequence(tuple(history))
+    m = len(history)
     if m >= config.m:
         raise ValueError("history already covers every configured measurement")
-    if mode == "exact":
-        joint_hist = 1.0
-        if m:
-            part = ExperimentConfig(config.n_plus, config.n_minus, config.angles[:m])
-            joint_hist = exact.sequence_probability(part, OutcomeSequence(tuple(etas)))
-            if joint_hist <= 0.0:
-                raise ConditioningError("history has zero probability")
-        ext = ExperimentConfig(config.n_plus, config.n_minus, config.angles[:m + 1])
-        joint_plus = exact.sequence_probability(ext, OutcomeSequence(tuple(etas) + (1,)))
-        return min(1.0, max(0.0, joint_plus / joint_hist))
-    if mode == "classical":
-        dist = phase_posterior(config.angles[:m], etas, resolution=resolution)
-        bracket = 0.5 * (1.0 + np.cos(dist.grid - config.angles[m]))
-        return float((dist.values * bracket).mean() * TWO_PI)
-    raise ValueError(f"unknown mode {mode!r}")
+    kernel = exact._Bracket.for_law(mode, config.n_plus, config.n_minus, config.m)
+    g = np.ones((1,) + kernel.shape)
+    for eta, phi in zip(history.etas, config.angles):
+        g = _condition(kernel, g, np.array([eta]), phi)
+    return float(_plus_probability(kernel, g, m, config.angles[m])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -164,62 +154,46 @@ def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray
     return etas
 
 
-def _sample_exact_batch(config: ExperimentConfig, u: np.ndarray) -> np.ndarray:
-    m = config.m
-    kernel = exact._Bracket.quantum(config.n_plus, config.n_minus)
-    cos_l = kernel.cos_big[:, 0]
-    count = u.shape[0]
-    g = np.ones((count,) + kernel.shape)         # bracket product of each chain's history
-    etas = np.empty((count, m), dtype=np.int8)
-    for j in range(m):
-        phi = config.angles[j]
-        c = kernel.transverse(phi)
-        plain = g.sum(axis=2)                    # sum over lambda
-        weighted = (g * c).sum(axis=2)
-        num_plus = ((plain * cos_l + weighted) * kernel.weight(j + 1)[:, 0]).sum(axis=1)
-        total = 2.0 * (plain * kernel.weight(j)[:, 0]).sum(axis=1)
-        if np.any(total <= 0.0):
-            raise ConditioningError("conditioning probability vanished during sampling")
-        prob_plus = np.clip(num_plus / total, 0.0, 1.0)
-        eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
-        etas[:, j] = eta
-        g = g * kernel.bracket(eta[:, None, None], phi)
-        scale = np.abs(g).mean(axis=(1, 2))
-        g /= np.maximum(scale, 1e-300)[:, None, None]
-    return etas
+def _plus_probability(kernel: exact._Bracket, g: np.ndarray, j: int,
+                      phi: float) -> np.ndarray:
+    """P(eta_j = +1 | history) per chain; ``g`` holds each history's bracket product."""
+    plain = g.sum(axis=2)                        # sum over lambda
+    weighted = (g * kernel.transverse(phi)).sum(axis=2)
+    num_plus = ((plain * kernel.cos_big[:, 0] + weighted) * kernel.weight(j + 1)[:, 0]).sum(axis=1)
+    total = 2.0 * (plain * kernel.weight(j)[:, 0]).sum(axis=1)
+    if np.any(total <= 0.0):
+        raise ConditioningError("conditioning history has zero probability")
+    return np.clip(num_plus / total, 0.0, 1.0)
 
 
-def _sample_classical_batch(config: ExperimentConfig, u: np.ndarray,
-                            resolution: int) -> np.ndarray:
-    m = config.m
-    k = max(resolution, 2 * (m + 2))
-    grid = PhaseDistribution.uniform_grid(k)
-    count = u.shape[0]
-    g = np.ones((count, k))
+def _condition(kernel: exact._Bracket, g: np.ndarray, eta: np.ndarray,
+               phi: float) -> np.ndarray:
+    """Extend each chain's bracket product by its result, rescaled to unit mean modulus."""
+    g = g * kernel.bracket(eta[:, None, None], phi)
+    scale = np.abs(g).mean(axis=(1, 2))
+    return g / np.maximum(scale, 1e-300)[:, None, None]
+
+
+def _sample_batch(kernel: exact._Bracket, angles, u: np.ndarray) -> np.ndarray:
+    """Chain-rule sampling under either law, one renormalized grid state per chain."""
+    count, m = u.shape
+    g = np.ones((count,) + kernel.shape)
     etas = np.empty((count, m), dtype=np.int8)
-    for j in range(m):
-        bracket = 1.0 + np.cos(grid - config.angles[j])
-        total = g.mean(axis=1)
-        if np.any(total <= 0.0):
-            raise ConditioningError("conditioning probability vanished during sampling")
-        prob_plus = np.clip(0.5 * (g * bracket).mean(axis=1) / total, 0.0, 1.0)
-        eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
+    for j, phi in enumerate(angles):
+        eta = np.where(u[:, j] < _plus_probability(kernel, g, j, phi), 1, -1).astype(np.int8)
         etas[:, j] = eta
-        g = g * (1.0 + eta[:, None] * (bracket[None, :] - 1.0))
-        g /= np.maximum(g.mean(axis=1), 1e-300)[:, None]
+        g = _condition(kernel, g, eta, phi)
     return etas
 
 
 def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
-                     mode: str = "exact", resolution: int = DEFAULT_RESOLUTION,
-                     batch_size: int | None = None) -> np.ndarray:
+                     mode: str = "exact", batch_size: int | None = None) -> np.ndarray:
     """Draw ``count`` outcome sequences; returns an int8 array (count, M).
 
     Deterministic in ``seed``: chain i is a pure function of (seed, i), so
     neither ``count`` nor ``batch_size`` changes previously drawn chains.
     """
-    if mode not in ("exact", "classical"):
-        raise ValueError(f"unknown mode {mode!r}")
+    kernel = exact._Bracket.for_law(mode, config.n_plus, config.n_minus, config.m)
     if count < 1:
         raise ValueError("need a positive sample count")
     m = config.m
@@ -227,11 +201,7 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
         return np.empty((count, 0), dtype=np.int8)
     grouped = mode == "exact" and len(set(config.angles)) <= 6
     if batch_size is None:
-        if grouped:
-            batch_size = count
-        else:
-            cells = (2 * (config.n + 2)) ** 2 if mode == "exact" else resolution
-            batch_size = max(1, min(count, 4_000_000 // cells))
+        batch_size = count if grouped else max(1, min(count, 4_000_000 // math.prod(kernel.shape)))
     out = np.empty((count, m), dtype=np.int8)
     for start in range(0, count, batch_size):
         stop = min(start + batch_size, count)
@@ -240,17 +210,14 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
             u[chain - start] = _chain_generator(seed, chain).random(m)
         if grouped:
             out[start:stop] = _sample_exact_grouped(config, u)
-        elif mode == "exact":
-            out[start:stop] = _sample_exact_batch(config, u)
         else:
-            out[start:stop] = _sample_classical_batch(config, u, resolution)
+            out[start:stop] = _sample_batch(kernel, config.angles, u)
     return out
 
 
-def sample_sequence(config: ExperimentConfig, seed: int, *, mode: str = "exact",
-                    resolution: int = DEFAULT_RESOLUTION) -> OutcomeSequence:
+def sample_sequence(config: ExperimentConfig, seed: int, *, mode: str = "exact") -> OutcomeSequence:
     """Draw one outcome sequence (chain 0 of the given seed)."""
-    etas = sample_sequences(config, 1, seed, mode=mode, resolution=resolution)[0]
+    etas = sample_sequences(config, 1, seed, mode=mode)[0]
     return OutcomeSequence(tuple(int(e) for e in etas))
 
 

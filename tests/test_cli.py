@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fockbell.cli import main
 
@@ -198,7 +201,12 @@ class TestExitCodes:
         ("phase", {"angles": [0.0], "outcomes": [1], "resolution": 4}),
         ("qmax", {"form": "bchsh", "n": "abc", "p": 1}),
         ("qmax", {"form": "bchsh", "n": 4, "p": "z"}),
-    ], ids=["coarse-resolution", "non-numeric-n", "non-numeric-p"])
+        ("correlate", {"n_plus": math.inf, "n_minus": 1, "angles": [0.1]}),
+        ("sample", {"n_plus": math.inf, "n_minus": 1, "angles": [0.1]}),
+        ("qmax", {"form": "bchsh", "n": math.inf, "p": 1}),
+        ("phase", {"angles": [math.inf], "outcomes": [1]}),
+    ], ids=["coarse-resolution", "non-numeric-n", "non-numeric-p", "infinite-n-plus-correlate",
+            "infinite-n-plus-sample", "infinite-n", "infinite-angle"])
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, payload):
         path = write(tmp_path, "in.json", payload)
         code, _, err = run(capsys, [command, path])
@@ -211,3 +219,61 @@ class TestExitCodes:
         code, _, err = run(capsys, ["correlate", cfg])
         assert code == 3
         assert err.startswith("error:")
+
+
+# Malformed JSON values for the fuzz test below.  Numbers stay small: the
+# sizes a config may ask for are not bounded yet, so `correlate` with
+# n_plus = 10**12 or `phase` with resolution = 10**12 still dies with a
+# MemoryError (exit 1) instead of exiting 2.
+_SPECIALS = [None, True, False, math.inf, -math.inf, math.nan, "", "x", -1, 0.5, [], {}]
+_SCALARS = (st.sampled_from(_SPECIALS) | st.integers(-50, 50) | st.floats(-50, 50)
+            | st.text(max_size=4))
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+_VALUES = st.recursive(_SCALARS, _containers, max_leaves=6)
+
+# A valid input per command, and the places where a malformed value is put.
+_FUZZ_BASE = {
+    "correlate": ({"n_plus": 2, "n_minus": 2, "angles": [0.1, 0.2, 0.3]},
+                  [("n_plus",), ("n_minus",), ("angles",), ("angles", 0), ("angles", 2),
+                   ("angle_sets",), ("extra",)]),
+    "phase": ({"angles": [0.1, 0.2, 0.3], "outcomes": [1, -1, 1], "resolution": 64},
+              [("angles",), ("angles", 1), ("outcomes",), ("outcomes", 0), ("outcomes", 2),
+               ("resolution",), ("extra",)]),
+}
+
+
+def _inject(base, faults):
+    payload = copy.deepcopy(base)
+    for (key, *index), value in faults:
+        if not index:
+            payload[key] = value
+        elif isinstance(payload[key], list):   # an earlier fault may have replaced the list
+            payload[key][index[0]] = value
+    return payload
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", sorted(_FUZZ_BASE))
+    def test_malformed_values_exit_cleanly(self, tmp_path, capsys, command):
+        base, paths = _FUZZ_BASE[command]
+
+        @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        @given(st.lists(st.tuples(st.sampled_from(paths), _VALUES), min_size=1, max_size=2))
+        def check(faults):
+            payload = _inject(base, faults)
+            code, _, err = run(capsys, [command, write(tmp_path, "in.json", payload)])
+            assert code in (0, 2, 3), payload
+            if code:
+                assert err.startswith("error:")
+
+        # every special value at every place first, then the generated faults
+        for path in paths:
+            for value in _SPECIALS:
+                check = example([(path, value)])(check)
+        check()

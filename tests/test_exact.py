@@ -13,13 +13,20 @@ from fockbell.exact import (
     correction_factor_g,
     correlation_closed_form,
     correlation_e,
-    correlation_e_outcome_sum,
     correlation_gaussian,
     gaussian_product_correlation,
     normalization_cn,
     sequence_probability,
 )
 from fockbell.model import ExperimentConfig, OutcomeSequence
+
+
+def correlation_e_outcome_sum(config):
+    """Product correlation through the explicit outcome sum over the full table."""
+    probs = all_sequence_probabilities(config)
+    minus_counts = np.array([config.m - bin(i).count("1") for i in range(probs.size)])
+    signs = np.where(minus_counts % 2, -1.0, 1.0)
+    return float(np.dot(signs, probs))
 
 
 def quad_cn(n_plus, n_minus, nodes):
@@ -366,3 +373,16 @@ class TestClassicalLaw:
                 worst[n] = max(worst[n], abs(exact_p - classical_p) / exact_p)
         assert worst[1000] < 0.01
         assert worst[1000] < worst[200]
+
+    @pytest.mark.parametrize("m", [1023, 1100])
+    def test_long_sequence_against_log_space_sum(self, m):
+        # 2**M overflows a float from M = 1024 on; each factor (1 + cos)/2 is
+        # summed in log space here on a dense grid instead
+        angles = [0.1, 0.2] * (m // 2) + [0.1] * (m % 2)
+        lam = -np.pi + 2 * np.pi * np.arange(400001) / 400001
+        with np.errstate(divide="ignore"):
+            log_factor = {a: np.log(0.5 * (1.0 + np.cos(lam - a))) for a in (0.1, 0.2)}
+        want = float(np.exp(sum(angles.count(a) * log_factor[a] for a in (0.1, 0.2))).mean())
+        got = classical_sequence_probability(angles, [1] * m)
+        assert got == pytest.approx(want, abs=1e-16)
+        assert want > 1e-3

@@ -9,7 +9,6 @@ from fockbell.model import ExperimentConfig, OutcomeSequence
 from fockbell.oracle import (
     SpinStateVector,
     oracle_all_probabilities,
-    oracle_marginal_probability,
     oracle_sequence_probability,
     w_state,
 )
@@ -105,7 +104,7 @@ class TestMarginals:
         rng = np.random.default_rng(3)
         angles = list(rng.uniform(-np.pi, np.pi, 2))
         etas = [1, -1]
-        direct = oracle_marginal_probability(state, angles, etas)
+        direct = oracle_sequence_probability(state, angles, etas)
         fill_angles = [0.123, -0.9]
         summed = sum(
             oracle_sequence_probability(state, angles + fill_angles, etas + list(tail))
@@ -117,14 +116,14 @@ class TestMarginals:
         state = w_state(2, 2)
         angles = (0.25, 0.25)
         cfg = ExperimentConfig(2, 2, angles)
-        assert oracle_marginal_probability(state, angles, (1, 1)) == pytest.approx(
+        assert oracle_sequence_probability(state, angles, (1, 1)) == pytest.approx(
             sequence_probability(cfg, OutcomeSequence((1, 1))), abs=1e-10)
 
     def test_single_measurement_unbiased(self):
         for n_plus, n_minus in [(2, 2), (3, 1), (4, 2)]:
             state = w_state(n_plus, n_minus)
             for eta in (1, -1):
-                assert oracle_marginal_probability(state, (0.9,), (eta,)) == pytest.approx(0.5)
+                assert oracle_sequence_probability(state, (0.9,), (eta,)) == pytest.approx(0.5)
 
     def test_unequal_population_full_distribution(self):
         # the number-difference cosine factor shows up for 2 up / 1 down
@@ -138,7 +137,7 @@ class TestMarginals:
             assert oracle_sequence_probability(state, angles, etas) == pytest.approx(
                 exact_probs[idx], abs=1e-12)
 
-    def test_marginal_requires_fewer_measurements(self):
+    def test_more_measurements_than_spins_rejected(self):
         state = w_state(1, 1)
         with pytest.raises(ValueError):
-            oracle_marginal_probability(state, (0.1, 0.2), (1, 1))
+            oracle_sequence_probability(state, (0.1, 0.2, 0.3), (1, 1, 1))

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fockbell.exact import sequence_probability
+from fockbell.exact import _Bracket, sequence_probability
 from fockbell.model import ExperimentConfig, OutcomeSequence, PhaseDistribution
 from fockbell.phase import (
     ConditioningError,
     _chain_generator,
-    _sample_exact_batch,
+    _sample_batch,
     _sample_exact_grouped,
     next_outcome_probability,
     peak_statistics,
@@ -121,7 +121,8 @@ class TestSampling:
         for c in range(64):
             u[c] = _chain_generator(11, c).random(6)
         np.testing.assert_array_equal(
-            _sample_exact_grouped(cfg, u), _sample_exact_batch(cfg, u))
+            _sample_exact_grouped(cfg, u),
+            _sample_batch(_Bracket.quantum(3, 3), cfg.angles, u))
 
     def test_many_distinct_angles_takes_general_path(self):
         rng = np.random.default_rng(21)
