@@ -7,7 +7,6 @@ cross-checks everything against a brute-force state-vector oracle, and
 simulates sequential measurements with the emerging relative phase.
 """
 from .exact import (
-    QuadratureRule,
     UnnormalizableConfigError,
     all_sequence_probabilities,
     classical_all_probabilities,
@@ -21,7 +20,7 @@ from .exact import (
     normalization_cn,
     sequence_probability,
 )
-from .functional import EnumerationLimitError, bell_value, expectation, semi_mesoscopic_value
+from .functional import bell_value, expectation, semi_mesoscopic_value
 from .model import (
     BellFunctionalSpec,
     ExperimentConfig,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BellFunctionalSpec",
     "ConditioningError",
-    "EnumerationLimitError",
     "ExperimentConfig",
     "FanAngles",
     "OptimizationResult",
@@ -68,7 +66,6 @@ __all__ = [
     "PartyFunctional",
     "PeakStats",
     "PhaseDistribution",
-    "QuadratureRule",
     "SpinStateVector",
     "UnnormalizableConfigError",
     "all_sequence_probabilities",

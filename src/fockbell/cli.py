@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import exact, functional, optimizer, oracle, phase
+from . import exact, optimizer, oracle, phase
 from .exact import UnnormalizableConfigError
 from .model import (MIN_RESOLUTION, BellFunctionalSpec, ExperimentConfig, OutcomeSequence,
                     PartyFunctional)
@@ -189,8 +189,9 @@ def cmd_qmax(args) -> int:
 
 def cmd_scan(args) -> int:
     data = _load_json(args.spec, _SPEC_KEYS - {"n"}, {"form"})
-    if args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min or args.n_step % 2:
-        raise ConfigError("scan needs even n_min <= n_max and an even step")
+    if (args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min
+            or args.n_step < 2 or args.n_step % 2):
+        raise ConfigError("scan needs even n_min <= n_max and an even step of at least 2")
     n_values = range(args.n_min, args.n_max + 1, args.n_step)
     lines = ["n,q_max,chi"]
     for n in n_values:
@@ -242,6 +243,8 @@ def cmd_phase(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.n_max < 2 or args.n_max > 10:
         raise ConfigError("n-max must lie between 2 and 10")
+    if args.angle_sets < 1:
+        raise ConfigError("angle-sets must be positive")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_case = None
@@ -330,11 +333,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, functional.EnumerationLimitError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnnormalizableConfigError, phase.ConditioningError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

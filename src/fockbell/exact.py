@@ -19,7 +19,6 @@ import numpy as np
 from .model import ExperimentConfig, OutcomeSequence
 
 __all__ = [
-    "QuadratureRule",
     "UnnormalizableConfigError",
     "normalization_cn",
     "sequence_probability",
@@ -47,35 +46,13 @@ class UnnormalizableConfigError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Equispaced periodic trapezoid rule on [-pi, pi).
+def _nodes(k: int) -> np.ndarray:
+    """K equispaced periodic trapezoid nodes on [-pi, pi).
 
-    With ``node_count`` = K the rule integrates every trigonometric
-    polynomial of degree < K exactly, under the d(angle)/2pi convention where
-    the integral is just the node mean.
+    Their mean integrates every trigonometric polynomial of degree < K
+    exactly, under the d(angle)/2pi convention.
     """
-
-    node_count: int
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValueError("need at least one node")
-
-    @classmethod
-    def for_particles(cls, n: int) -> "QuadratureRule":
-        # Integrands below have trig degree <= 2n per variable; 2(n+2) leaves
-        # round-off margin on top of exactness.
-        return cls(2 * (n + 2))
-
-    @property
-    def nodes(self) -> np.ndarray:
-        k = self.node_count
-        return -np.pi + 2.0 * np.pi * np.arange(k) / k
-
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Mean over nodes, i.e. the integral with measure d(angle)/2pi."""
-        return np.mean(values, axis=axis)
+    return -np.pi + 2.0 * np.pi * np.arange(k) / k
 
 
 def normalization_cn(n_plus: int, n_minus: int) -> float:
@@ -124,7 +101,9 @@ class _Bracket:
     @lru_cache(maxsize=32)
     def quantum(cls, n_plus: int, n_minus: int) -> "_Bracket":
         n, d = n_plus + n_minus, n_plus - n_minus
-        nodes = QuadratureRule.for_particles(n).nodes
+        # the integrands have trig degree <= 2N per variable; 2(N + 2) nodes
+        # leave round-off margin on top of exactness
+        nodes = _nodes(2 * (n + 2))
         return cls(np.cos(nodes)[:, None], np.cos(d * nodes)[:, None], nodes[None, :],
                    n, d, normalization_cn(n_plus, n_minus))
 
@@ -132,7 +111,7 @@ class _Bracket:
     @lru_cache(maxsize=32)
     def classical(cls, m: int) -> "_Bracket":
         one = np.ones((1, 1))
-        return cls(one, one, QuadratureRule(2 * (m + 2)).nodes[None, :], m, 0, 1.0)
+        return cls(one, one, _nodes(2 * (m + 2))[None, :], m, 0, 1.0)
 
     @classmethod
     def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
@@ -163,6 +142,16 @@ class _Bracket:
         if self.cn <= 0.0:
             raise UnnormalizableConfigError("unnormalizable configuration")
         return 2 ** m * self.cn
+
+    def columns(self, width: int):
+        """The grid in slices of at most ``width`` lambda nodes; their cell sums add up
+        to the whole grid's."""
+        k_lam = self.lam.shape[1]
+        if width >= k_lam:
+            yield self
+            return
+        for start in range(0, k_lam, width):
+            yield replace(self, lam=self.lam[:, start:start + width])
 
     def chunks(self, size: int):
         """The grid cells in flat runs of at most ``size``, each a rule of its own."""

@@ -3,16 +3,22 @@
 A functional assigns each party a value in [-1, +1] computed from its local
 outcomes; the expectation weights those values with the exact outcome
 distribution (or, on request, the classical-phase law or the Gaussian
-approximation).  Three routes are kept and cross-checked in the tests:
+approximation).  Every party functional depends only on how many of the
+party's results are +1, so two routes cover every layout:
 
 * a pure-product fast path (one product-correlation integral),
-* a grouped path exploiting permutation symmetry when every party measures
-  at a single angle (cost polynomial in the counts),
-* full enumeration over all 2**M outcome sequences.
+* a plus-count route: on the quadrature grid of ``exact._Bracket`` each
+  party's bracket product is expanded in powers of t, the power counting its
+  +1 results, and the coefficients are weighted with the party's values.
+  Its cost is polynomial in the measurement count.
+
+The tests hold both against the full outcome table of
+``exact.all_sequence_probabilities`` and the state-vector oracle.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -21,20 +27,11 @@ import numpy as np
 from . import exact
 from .model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
 
-__all__ = ["expectation", "bell_value", "semi_mesoscopic_value", "EnumerationLimitError"]
+__all__ = ["expectation", "bell_value", "semi_mesoscopic_value"]
 
 # One BCHSH block: setting variants (x, y), (x', y), (x, y') minus (x', y').
 _BLOCK_VARIANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 _BLOCK_SIGNS = (1.0, 1.0, 1.0, -1.0)
-
-
-class EnumerationLimitError(ValueError):
-    """Outcome enumeration would exceed the full-table limit of M = 20 measurements.
-
-    Layouts that avoid enumeration have no such limit: all-product layouts
-    take the product route, and layouts where every party measures at one
-    angle take the grouped route.
-    """
 
 
 def _check_layout(config: ExperimentConfig, layout):
@@ -54,60 +51,54 @@ def _check_layout(config: ExperimentConfig, layout):
     return kept, constant
 
 
-def _party_slices(layout):
-    out, off = [], 0
-    for count, func in layout:
-        out.append((off, count, func))
-        off += count
+# C(r, k) stays below the float maximum for r <= 1024 (C(1024, 512) ~ 4.5e306)
+_MAX_RUN = 1024
+
+
+@lru_cache(maxsize=64)
+def _binomials(r: int) -> np.ndarray:
+    return np.array([float(comb(r, k)) for k in range(r + 1)])
+
+
+def _run_terms(kernel: exact._Bracket, phi: float, r: int) -> np.ndarray:
+    """Coefficients C(r, k) plus**k minus**(r - k) of t**k in (minus + t plus)**r,
+    k = 0..r along axis 0, for r results at ``phi``.  Plus and minus are the
+    halved brackets of the outcomes +1 and -1 over the grid."""
+    powers = np.empty((r + 1, 2) + kernel.shape)
+    powers[0] = 1.0
+    np.multiply(0.5, kernel.bracket(1, phi), out=powers[1, 0])
+    np.multiply(0.5, kernel.bracket(-1, phi), out=powers[1, 1])
+    for k in range(1, r):
+        np.multiply(powers[k], powers[1], out=powers[k + 1])
+    binomials = _binomials(r).reshape(-1, 1, 1)
+    return binomials * powers[:, 0] * powers[::-1, 1]
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two polynomials in t, coefficients along axis 0, at every grid cell."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:])
+    for i, row in enumerate(b):
+        out[i:i + len(a)] += a * row
     return out
 
 
-def _functional_table(layout) -> np.ndarray:
-    """Product of party values over all 2**M outcome indices (bit j = measurement j)."""
-    total = np.ones(1)
-    for count, func in layout:
-        if count == 0:
-            continue
-        popcount = np.zeros(1, dtype=np.int64)
-        for _ in range(count):
-            popcount = np.concatenate([popcount, popcount + 1])
-        vals = func.values_table(count)[popcount]
-        # earlier parties occupy the low bits, so they vary fastest
-        total = np.kron(vals, total)
-    return total
+def _party_value(kernel: exact._Bracket, angles, func: PartyFunctional) -> np.ndarray:
+    """The party's values f(k) weighted by its plus-count coefficients, over the grid.
 
-
-def _grouped_angles(config: ExperimentConfig, layout):
-    """Per-party single angles if every party measures along one direction."""
-    angles = []
-    for off, count, _ in _party_slices(layout):
-        part = config.angles[off:off + count]
-        if len(set(part)) != 1:
-            return None
-        angles.append(part[0])
-    return angles
-
-
-def _expectation_grouped(config: ExperimentConfig, layout, law: str) -> float:
-    angles = _grouped_angles(config, layout)
-    assert angles is not None
-    kernel = exact._Bracket.for_law(law, config.n_plus, config.n_minus, config.m)
-    prod = kernel.weight(config.m)
-    for phi, (count, func) in zip(angles, layout):
-        plus = kernel.bracket(1, phi)
-        minus = kernel.bracket(-1, phi)
-        minus_powers = [np.ones_like(plus)]
-        for _ in range(count):
-            minus_powers.append(minus_powers[-1] * minus)
-        acc = np.zeros_like(plus)
-        plus_pow = np.ones_like(plus)
-        fvals = func.values_table(count)
-        for k in range(count + 1):
-            acc += comb(count, k) * fvals[k] * plus_pow * minus_powers[count - k]
-            if k < count:
-                plus_pow = plus_pow * plus
-        prod = prod * acc
-    return float(prod.mean()) / kernel.denominator(config.m)
+    e_k, the coefficient of t**k in prod_j (minus_j + t plus_j), gathers the
+    histories with k results +1; the halved brackets keep sum_k |e_k| <= 1.
+    Equal angles share one binomial expansion, cut into runs of at most
+    ``_MAX_RUN`` results.
+    """
+    coeffs = None
+    for phi, total in Counter(angles).items():
+        for start in range(0, total, _MAX_RUN):
+            terms = _run_terms(kernel, phi, min(_MAX_RUN, total - start))
+            coeffs = terms if coeffs is None else _convolve(coeffs, terms)
+    values = func.values_table(len(angles))
+    return (values @ coeffs.reshape(values.size, -1)).reshape(coeffs.shape[1:])
 
 
 def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> float:
@@ -124,9 +115,9 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
         Outcome distribution: the full quantum law or the classical-phase
         (separable) law.
 
-    Layouts with a party that neither multiplies its results nor measures at
-    a single angle enumerate every outcome sequence and raise
-    :class:`EnumerationLimitError` beyond M = 20.
+    All-product layouts take one product-correlation integral; every other
+    layout weights each party's values by its plus-count distribution on the
+    quadrature grid.  Neither route limits the number of measurements.
 
     The result always lies in [-1, 1] because every party value does.
     """
@@ -142,19 +133,20 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
             return constant * exact.correlation_e(config)
         return constant * exact.classical_product_correlation(config.angles)
 
-    if _grouped_angles(config, layout) is not None:
-        return constant * _expectation_grouped(config, layout, law)
-
-    if config.m > exact._MAX_TREE_M:
-        raise EnumerationLimitError(
-            f"M={config.m} exceeds the outcome-enumeration limit {exact._MAX_TREE_M}; use a "
-            "product layout or one angle per party"
-        )
-    if law == "exact":
-        probs = exact.all_sequence_probabilities(config)
-    else:
-        probs = exact.classical_all_probabilities(config.angles)
-    return constant * float(np.dot(_functional_table(layout), probs))
+    kernel = exact._Bracket.for_law(law, config.n_plus, config.n_minus, config.m)
+    k_big, k_lam = kernel.shape
+    # the plus-count coefficients take about 4(M + 1) floats per grid cell;
+    # slicing the lambda axis keeps them near the table budget
+    width = max(1, exact._TREE_BUDGET // (4 * (config.m + 1) * k_big))
+    total = 0.0
+    for part in kernel.columns(width):
+        integrand = part.weight(config.m)
+        start = 0
+        for count, func in layout:
+            integrand = integrand * _party_value(part, config.angles[start:start + count], func)
+            start += count
+        total += float(integrand.sum())
+    return constant * total / (k_big * k_lam) / kernel.denominator(0)
 
 
 def _as_party_angles(value, count: int) -> list[float]:

@@ -213,6 +213,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--n-max", "3", "--angle-sets", "0"],
+        ["oracle-check", "--n-max", "3", "--angle-sets", "-3"],
+        ["scan", "{spec}", "--n-min", "2", "--n-max", "4", "--n-step", "0"],
+        ["scan", "{spec}", "--n-min", "2", "--n-max", "4", "--n-step", "-2"],
+    ], ids=["no-angle-sets", "negative-angle-sets", "zero-step", "negative-step"])
+    def test_empty_sweep_is_config_error(self, tmp_path, capsys, argv):
+        spec = write(tmp_path, "s.json", {"form": "bchsh", "p": 1})
+        code, out, err = run(capsys, [a.format(spec=spec) for a in argv])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("command,payload", [
+        ("correlate", {"n_plus": 10**12, "n_minus": 10**12, "angles": [0.1, 0.2]}),
+        ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**12}),
+    ], ids=["huge-population", "huge-resolution"])
+    def test_impossible_allocation_is_numeric_error(self, tmp_path, capsys, command, payload):
+        # the grids would take terabytes, so the allocation fails at once
+        path = write(tmp_path, "in.json", payload)
+        code, _, err = run(capsys, [command, path])
+        assert code == 3
+        assert err.startswith("error:")
+
     def test_underflowing_normalization_is_numeric_error(self, tmp_path, capsys):
         # C_N = 2**-1100 underflows to 0.0
         cfg = write(tmp_path, "c.json", {"n_plus": 0, "n_minus": 1100, "angles": [0.1, 0.2]})
@@ -221,10 +245,9 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
-# Malformed JSON values for the fuzz test below.  Numbers stay small: the
-# sizes a config may ask for are not bounded yet, so `correlate` with
-# n_plus = 10**12 or `phase` with resolution = 10**12 still dies with a
-# MemoryError (exit 1) instead of exiting 2.
+# Malformed JSON values for the fuzz test below.  Numbers stay small: a size
+# such as n_plus = 10**12 asks for a grid that cannot be allocated, which
+# TestExitCodes checks once rather than at every generated example.
 _SPECIALS = [None, True, False, math.inf, -math.inf, math.nan, "", "x", -1, 0.5, [], {}]
 _SCALARS = (st.sampled_from(_SPECIALS) | st.integers(-50, 50) | st.floats(-50, 50)
             | st.text(max_size=4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fockbell.exact import (
-    QuadratureRule,
+    _Bracket,
     all_sequence_probabilities,
     classical_all_probabilities,
     classical_sequence_probability,
@@ -38,15 +38,20 @@ def quad_cn(n_plus, n_minus, nodes):
 class TestQuadratureRule:
     @pytest.mark.parametrize("k,degree", [(8, 5), (16, 13), (30, 29)])
     def test_exact_below_node_count(self, k, degree):
-        rule = QuadratureRule(k)
-        # integral of cos(d*x + 0.3) over dx/2pi vanishes for 1 <= d < K
-        vals = np.cos(degree * rule.nodes + 0.3)
-        assert rule.integrate(vals) == pytest.approx(0.0, abs=1e-13)
+        # K = 2(N + 2) equispaced nodes on both axes; the node mean of
+        # cos(d*x + 0.3), its integral over dx/2pi, vanishes for 1 <= d < K
+        kernel = _Bracket.quantum(k // 2 - 2, 0)
+        assert kernel.shape == (k, k)
+        nodes = kernel.lam.ravel()
+        assert np.array_equal(np.cos(nodes), kernel.cos_big.ravel())
+        assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
 
     def test_constant(self):
-        rule = QuadratureRule.for_particles(5)
-        assert rule.node_count == 14
-        assert rule.integrate(np.ones(14)) == pytest.approx(1.0)
+        kernel = _Bracket.quantum(3, 2)
+        assert kernel.shape == (14, 14)
+        # the weight with no measurement integrates to C_N
+        assert np.mean(kernel.weight(0)) == pytest.approx(normalization_cn(3, 2), abs=1e-15)
+        assert _Bracket.classical(5).shape == (1, 14)
 
 
 class TestNormalizationCn:

@@ -1,21 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+from fockbell import exact
 from fockbell.exact import (
     classical_all_probabilities,
     classical_product_correlation,
     correlation_closed_form,
     correlation_e,
 )
-from fockbell.functional import (
-    EnumerationLimitError,
-    _functional_table,
-    bell_value,
-    expectation,
-    semi_mesoscopic_value,
-)
+from fockbell.functional import bell_value, expectation, semi_mesoscopic_value
 from fockbell.model import (
     BellFunctionalSpec,
     ExperimentConfig,
@@ -98,29 +95,52 @@ class TestExpectation:
             cfg = ExperimentConfig(n_plus, n_minus, angles)
             fast = expectation(cfg, [(m, PRODUCT)])
             slow = expectation(cfg, [(1, PRODUCT)] * m)  # still product route
-            # force the true enumeration through a mixed layout with a
+            # force the plus-count route through a layout with each
             # product written as binned over one outcome (sign == identity)
             enum = expectation(cfg, [(1, PartyFunctional.binned_sign())] * m)
             assert fast == pytest.approx(slow, abs=1e-12)
             assert fast == pytest.approx(enum, abs=1e-11)
 
-    def test_enumeration_limit(self):
-        # scattered angles defeat both fast paths, leaving only enumeration
-        angles = tuple(0.01 * j for j in range(26))
-        cfg = ExperimentConfig(13, 13, angles)
-        with pytest.raises(EnumerationLimitError):
-            expectation(cfg, [(13, BINNED), (13, BINNED)])
-        # one past the full-table limit of M = 20, under both laws
-        cfg = ExperimentConfig(11, 11, angles[:21])
-        for law in ("exact", "classical"):
-            with pytest.raises(EnumerationLimitError):
-                expectation(cfg, [(10, BINNED), (11, BINNED)], law=law)
+    def test_scattered_pair_averages_expand_into_products(self):
+        # twelve pair averages at 24 distinct angles: prod_i (eta_2i + eta_2i+1)/2
+        # is the mean of the 2**12 products that pick one result per pair
+        angles = tuple(np.random.default_rng(67).uniform(-np.pi, np.pi, 24))
+        layout = [(2, PartyFunctional.pair_average())] * 12
+        picks = [[angles[2 * i + b] for i, b in enumerate(bits)]
+                 for bits in itertools.product((0, 1), repeat=12)]
+        classical = math.fsum(classical_product_correlation(row) for row in picks) / len(picks)
+        for n_plus, n_minus in [(12, 12), (14, 10)]:
+            cfg = ExperimentConfig(n_plus, n_minus, angles)
+            quantum = math.fsum(correlation_e(ExperimentConfig(n_plus, n_minus, tuple(row)))
+                                for row in picks) / len(picks)
+            assert expectation(cfg, layout) == pytest.approx(quantum, abs=1e-12)
+            assert expectation(cfg, layout, law="classical") == pytest.approx(classical,
+                                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("m", [700, 1030, 1100])
+    def test_long_binned_party_against_binomial_quadrature(self, m):
+        # classical law: given lambda each result is +1 with probability
+        # p = (1 + cos(lambda - phi))/2, so the binned sign of the odd count
+        # m - 1 averages to 1 - 2 binom.cdf((m - 2)/2; m - 1, p)
+        cfg = ExperimentConfig(m // 2 + 1, m // 2 + 1, (0.1,) * (m - 1) + (0.5,))
+        got = expectation(cfg, [(m - 1, BINNED), (1, PRODUCT)], law="classical")
+        lam = -np.pi + 2 * np.pi * np.arange(4 * m) / (4 * m)
+        sign = 1 - 2 * binom.cdf((m - 2) // 2, m - 1, (1 + np.cos(lam - 0.1)) / 2)
+        assert got == pytest.approx(float(np.mean(sign * np.cos(lam - 0.5))), abs=1e-12)
+
+    def test_grid_slices_agree(self, monkeypatch):
+        # a budget small enough to evaluate the grid one lambda node at a time
+        cfg = ExperimentConfig(4, 3, (0.2, 0.2, -0.7, 1.3, 1.3, 0.4, 2.0))
+        layout = [(3, BINNED), (2, PartyFunctional.pair_average()), (2, BINNED_ZERO)]
+        whole = expectation(cfg, layout)
+        monkeypatch.setattr(exact, "_TREE_BUDGET", 1)
+        assert expectation(cfg, layout) == pytest.approx(whole, abs=1e-15)
 
     def test_classical_grouped_equals_enumeration(self):
         layout = [(3, BINNED_ZERO), (2, PartyFunctional.pair_average()), (1, PRODUCT)]
         angles = (0.4,) * 3 + (-1.1,) * 2 + (2.3,)
         cfg = ExperimentConfig(3, 3, angles)
-        want = float(np.dot(_functional_table(layout), classical_all_probabilities(angles)))
+        want = brute_force_expectation(cfg, layout, classical_all_probabilities(angles))
         assert expectation(cfg, layout, law="classical") == pytest.approx(want, abs=1e-12)
 
     def test_layout_counts_must_match(self):
