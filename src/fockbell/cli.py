@@ -248,7 +248,9 @@ def cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_case = None
+    report = []
     for n in range(2, args.n_max + 1):
+        worst_here = 0.0
         for n_plus in range(n + 1):
             state = oracle.w_state(n_plus, n - n_plus)
             for _ in range(args.angle_sets):
@@ -257,11 +259,13 @@ def cmd_oracle_check(args) -> int:
                 exact_probs = exact.all_sequence_probabilities(config)
                 oracle_probs = oracle.oracle_all_probabilities(state, config.angles)
                 gap = float(np.max(np.abs(exact_probs - oracle_probs)))
+                worst_here = max(worst_here, gap)
                 if gap > worst:
                     worst = gap
                     worst_case = (n, n_plus, tuple(float(a) for a in config.angles))
+        report.append(f"n={n}: max |oracle - exact| = {worst_here:.3e}")
     ok = worst < 1e-10
-    report = [
+    report += [
         f"swept n = 2..{args.n_max}, every population split, "
         f"{args.angle_sets} angle sets each, all outcome sequences",
         f"max |oracle - exact| = {worst:.3e}",

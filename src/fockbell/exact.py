@@ -1,9 +1,11 @@
 """Exact evaluation of measurement statistics for a double Fock state.
 
-Every probability here is a trigonometric-polynomial integral over one or two
-compact angle variables, so an equispaced periodic trapezoid rule integrates
-it exactly (to round-off) once the node count exceeds the trig degree.  The
-closed-form combinatoric routes (factorial sum, correction factor, Gaussian
+Every probability here is an integral over two angles (Lambda, lambda) of a
+polynomial in cos(Lambda) and a trigonometric polynomial in lambda, so a
+Chebyshev rule on cos(Lambda) and an equispaced trapezoid rule on lambda
+integrate it exactly (to round-off) with a node count set by the number of
+measurements alone, whatever the particle number.  The closed-form
+combinatoric routes (factorial sum, correction factor, Gaussian
 approximation) are kept alongside the quadrature routes; the test suite holds
 the two against each other.
 """
@@ -39,11 +41,8 @@ _MAX_TREE_M = 20
 
 
 class UnnormalizableConfigError(ValueError):
-    """Raised when the configuration's normalization coefficient vanishes.
-
-    C_N = binom(N, n_plus) / 2**N is positive, but it underflows to 0.0 once
-    the populations are unequal enough at large N (n_plus = 0, n_minus = 1100).
-    """
+    """Raised when the Lambda rule's weights, of size up to 2**M, overflow a float
+    (very unequal populations and M > ~1000, e.g. n_plus = 0, n_minus = M = 1100)."""
 
 
 def _nodes(k: int) -> np.ndarray:
@@ -74,49 +73,62 @@ def normalization_cn(n_plus: int, n_minus: int) -> float:
 class _Bracket:
     """The (Lambda, lambda) quadrature behind every statistic in this package.
 
-    A statistic of M measurements is the grid mean of
-    ``weight(M) * prod_j bracket(eta_j, phi_j)`` over ``denominator(M)``:
-    the bracket is cos(Lambda) + eta cos(lambda - phi), the weight
-    cos(d Lambda) cos(Lambda)**(N - M) with d = n_plus - n_minus, and the
-    denominator 2**M C_N.  Lambda runs along axis 0, lambda along axis 1.
+    A statistic of m <= M measurements is the grid mean of
+    ``weight(m) * prod_j bracket(eta_j, phi_j)`` over 2**m, where the bracket
+    is cos(Lambda) + eta cos(lambda - phi).  Lambda runs along axis 0, lambda
+    along axis 1, and lambda has 2(M + 2) trapezoid nodes.
 
-    The quantum law puts K = 2(N + 2) trapezoid nodes on each axis.  The
-    classical-phase law is the same integral with one Lambda node, where
-    cos(Lambda) = 1 and the weight is 1, C_N = 1 and 2(M + 2) lambda nodes.
+    Quantum law: with x = cos(Lambda) and d = n_plus - n_minus the Lambda
+    integrand is T_d(x) x**(N - M) p(x) / C_N, where p is x**(M - m) times the
+    bracket product, a polynomial of degree M.  Its values at the M + 1
+    Chebyshev points x_i fix it, and the integral of T_d x**(N - M) T_k / C_N
+    is a ratio of binomials (the modified moment), so weights w_i make the
+    rule exact; weight(m) = w_i x_i**(M - m).  Nothing grows with N.
+    The classical-phase law is the single node x = 1 with weight 1.
     """
 
-    cos_big: np.ndarray   # cos(Lambda), shape (K_Lambda, 1)
-    phase: np.ndarray     # cos(d Lambda), shape (K_Lambda, 1)
-    lam: np.ndarray       # lambda nodes, shape (1, K_lambda)
-    n: int
-    d: int
-    cn: float
+    cos_big: np.ndarray      # cos(Lambda) node x_i, shape (K_Lambda, 1)
+    weight_big: np.ndarray   # Lambda weight w_i, shape (K_Lambda, 1)
+    lam: np.ndarray          # lambda nodes, shape (1, K_lambda)
+    m: int                   # measurements the rule is built for
 
     def __post_init__(self) -> None:
         # instances are cached and shared, so their arrays must stay as built
-        for a in (self.cos_big, self.phase, self.lam):
+        for a in (self.cos_big, self.weight_big, self.lam):
             a.flags.writeable = False
 
     @classmethod
     @lru_cache(maxsize=32)
-    def quantum(cls, n_plus: int, n_minus: int) -> "_Bracket":
+    def quantum(cls, n_plus: int, n_minus: int, m: int) -> "_Bracket":
         n, d = n_plus + n_minus, n_plus - n_minus
-        # the integrands have trig degree <= 2N per variable; 2(N + 2) nodes
-        # leave round-off margin on top of exactness
-        nodes = _nodes(2 * (n + 2))
-        return cls(np.cos(nodes)[:, None], np.cos(d * nodes)[:, None], nodes[None, :],
-                   n, d, normalization_cn(n_plus, n_minus))
+        # ratio[s] = 2**m C(N - m, n_plus - s) / C(N, n_plus)
+        #          = 2**m [n_plus]_s [n_minus]_(m - s) / [N]_m, each factor taken
+        # over N/2 or N so that the log sums stay small
+        steps, k = np.arange(m), np.arange(m + 1)
+        theta = np.pi * (k + 0.5) / (m + 1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            up, down = (np.concatenate([[0.0], np.cumsum(np.log1p(np.maximum(
+                (e - 2 * steps) / n, -1.0)))]) for e in (d, -d))
+            ratio = np.exp(up + down[::-1] - np.log1p(-steps / n).sum())
+            # moment of T_k: [mu(N - m, d + k) + mu(N - m, d - k)] / 2 C_N, with
+            # mu(j, q) = C(j, (j + q)/2) / 2**j the integral of cos(q L) cos(L)**j
+            moments = np.where((m - k) % 2, 0.0,
+                               0.5 * (ratio[(m - k) // 2] + ratio[(m + k) // 2]))
+            weights = np.cos(np.outer(theta, k)) @ (np.where(k, 2.0, 1.0) * moments)
+        if not np.all(np.isfinite(weights)):
+            raise UnnormalizableConfigError("Lambda rule weights overflow")
+        return cls(np.cos(theta)[:, None], weights[:, None], _nodes(2 * (m + 2))[None, :], m)
 
     @classmethod
     @lru_cache(maxsize=32)
     def classical(cls, m: int) -> "_Bracket":
         one = np.ones((1, 1))
-        return cls(one, one, _nodes(2 * (m + 2))[None, :], m, 0, 1.0)
+        return cls(one, one, _nodes(2 * (m + 2))[None, :], m)
 
     @classmethod
     def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
         if law == "exact":
-            return cls.quantum(n_plus, n_minus)
+            return cls.quantum(n_plus, n_minus, m)
         if law == "classical":
             return cls.classical(m)
         raise ValueError(f"unknown probability law {law!r}")
@@ -126,8 +138,8 @@ class _Bracket:
         return self.cos_big.shape[0], self.lam.shape[1]
 
     def weight(self, m: int) -> np.ndarray:
-        """cos(d Lambda) cos(Lambda)**(N - m) for m measurements."""
-        return self.phase * self.cos_big ** (self.n - m)
+        """Lambda weight times cos(Lambda)**(M - m), for m measurements."""
+        return self.weight_big * self.cos_big ** (self.m - m)
 
     def transverse(self, phi: float) -> np.ndarray:
         """cos(lambda - phi)."""
@@ -136,12 +148,6 @@ class _Bracket:
     def bracket(self, eta, phi: float) -> np.ndarray:
         """cos(Lambda) + eta cos(lambda - phi) over the grid."""
         return self.cos_big + eta * self.transverse(phi)
-
-    def denominator(self, m: int) -> float:
-        """2**m C_N, which turns an m-bracket grid mean into a probability."""
-        if self.cn <= 0.0:
-            raise UnnormalizableConfigError("unnormalizable configuration")
-        return 2 ** m * self.cn
 
     def columns(self, width: int):
         """The grid in slices of at most ``width`` lambda nodes; their cell sums add up
@@ -153,14 +159,6 @@ class _Bracket:
         for start in range(0, k_lam, width):
             yield replace(self, lam=self.lam[:, start:start + width])
 
-    def chunks(self, size: int):
-        """The grid cells in flat runs of at most ``size``, each a rule of its own."""
-        flat = [np.broadcast_to(a, self.shape).ravel()
-                for a in (self.cos_big, self.phase, self.lam)]
-        for start in range(0, flat[0].size, size):
-            cos_big, phase, lam = (a[start:start + size] for a in flat)
-            yield replace(self, cos_big=cos_big, phase=phase, lam=lam)
-
 
 def _sequence(kernel: _Bracket, etas, angles) -> float:
     """Probability of one outcome sequence; tiny negative round-off is clamped to 0.
@@ -171,7 +169,7 @@ def _sequence(kernel: _Bracket, etas, angles) -> float:
     integrand = kernel.weight(len(angles))
     for eta, phi in zip(etas, angles):
         integrand = integrand * (0.5 * kernel.bracket(eta, phi))
-    value = float(integrand.mean()) / kernel.denominator(0)
+    value = float(integrand.mean())
     if value < -1e-12:
         raise FloatingPointError(f"probability fell to {value}, beyond round-off")
     return max(value, 0.0)
@@ -181,23 +179,22 @@ def _table(kernel: _Bracket, angles) -> np.ndarray:
     """All 2**M sequence probabilities, bit j of the index set when outcome j is +1.
 
     The bracket products are built over a binary tree in one buffer, so each
-    sequence costs O(1) grid multiplications; the grid is chunked to bound
+    sequence costs O(1) grid multiplications; the grid is sliced to bound
     the buffer.
     """
     m = len(angles)
     if m > _MAX_TREE_M:
         raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
-    denominator = kernel.denominator(m)
     out = np.zeros(2 ** m)
-    for part in kernel.chunks(max(1, _TREE_BUDGET // (2 ** m))):
-        tree = np.empty((2 ** m, part.lam.size))
+    for part in kernel.columns(max(1, _TREE_BUDGET // (2 ** m * kernel.shape[0]))):
+        tree = np.empty((2 ** m,) + part.shape)
         tree[0] = part.weight(m)
         for j, phi in enumerate(angles):
             # rows [0, 2**j) hold the histories so far; outcome j sets bit j
             np.multiply(tree[:2 ** j], part.bracket(1, phi), out=tree[2 ** j:2 ** (j + 1)])
             tree[:2 ** j] *= part.bracket(-1, phi)
-        out += tree.sum(axis=1)
-    out /= kernel.shape[0] * kernel.shape[1] * denominator
+        out += tree.sum(axis=(1, 2))
+    out /= kernel.shape[0] * kernel.shape[1] * 2 ** m
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -207,17 +204,12 @@ def _product(kernel: _Bracket, rows) -> np.ndarray:
 
     Summed over its outcome each bracket leaves 2 cos(lambda - phi), so the
     integrand separates: the Lambda mean of the weight times the lambda mean
-    of the cosine product.  The average is exactly 0 for odd M, and when
-    |d| > N - M leaves the weight no constant term; it is set to 0 there
-    rather than left to round-off, which the division by C_N would amplify.
+    of the cosine product.  The first is the moment of T_0, which is exactly
+    0 for odd M and for |d| > N - M, so there the average is round-off.
     """
     rows = np.asarray(rows, dtype=float)
-    norm = kernel.denominator(0)
-    m = rows.shape[1]
-    if m % 2 or abs(kernel.d) > kernel.n - m:
-        return np.zeros(rows.shape[0])
     lam_mean = np.cos(kernel.lam[None] - rows[:, :, None]).prod(axis=1).mean(axis=1)
-    return float(kernel.weight(m).mean()) * lam_mean / norm
+    return float(kernel.weight(rows.shape[1]).mean()) * lam_mean
 
 
 def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) -> float:
@@ -229,8 +221,8 @@ def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) ->
     """
     if len(outcomes) != config.m:
         raise ValueError("outcome sequence length must match the angle count")
-    return _sequence(_Bracket.quantum(config.n_plus, config.n_minus), outcomes.etas,
-                     config.angles)
+    kernel = _Bracket.quantum(config.n_plus, config.n_minus, config.m)
+    return _sequence(kernel, outcomes.etas, config.angles)
 
 
 def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
@@ -239,12 +231,23 @@ def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
     Index ``i`` holds the sequence whose j-th outcome is +1 exactly when bit
     j of ``i`` is set.
     """
-    return _table(_Bracket.quantum(config.n_plus, config.n_minus), config.angles)
+    return _table(_Bracket.quantum(config.n_plus, config.n_minus, config.m), config.angles)
 
 
 def correlation_e(config: ExperimentConfig) -> float:
     """Quantum average of the product of all M results, by direct quadrature."""
-    return float(_product(_Bracket.quantum(config.n_plus, config.n_minus), [config.angles])[0])
+    kernel = _Bracket.quantum(config.n_plus, config.n_minus, config.m)
+    return float(_product(kernel, [config.angles])[0])
+
+
+@lru_cache(maxsize=64)
+def _closed_form_coefficients(n: int, p: int) -> tuple[float, ...]:
+    """Coefficient of sin(chi)**(2k) cos(chi)**(p - 2k) in E(chi), k = 0..p//2."""
+    return tuple(math.exp(
+        lgamma(n / 2 + 1) - lgamma(n + 1)
+        + lgamma(p + 1) + lgamma(n - 2 * k + 1)
+        - lgamma(k + 1) - lgamma(p - 2 * k + 1) - lgamma(n / 2 - k + 1)
+    ) for k in range(p // 2 + 1))
 
 
 def correlation_closed_form(n: int, p: int, chi: float) -> float:
@@ -260,15 +263,8 @@ def correlation_closed_form(n: int, p: int, chi: float) -> float:
     if not 1 <= p <= n - 1:
         raise ValueError("need 1 <= p <= n-1")
     s, c = math.sin(chi), math.cos(chi)
-    terms = []
-    for k in range(p // 2 + 1):
-        lg = (
-            lgamma(n / 2 + 1) - lgamma(n + 1)
-            + lgamma(p + 1) + lgamma(n - 2 * k + 1)
-            - lgamma(k + 1) - lgamma(p - 2 * k + 1) - lgamma(n / 2 - k + 1)
-        )
-        terms.append(math.exp(lg) * s ** (2 * k) * c ** (p - 2 * k))
-    return math.fsum(terms)
+    return math.fsum(coeff * s ** (2 * k) * c ** (p - 2 * k)
+                     for k, coeff in enumerate(_closed_form_coefficients(n, p)))
 
 
 def correlation_gaussian(n: int, p: int, chi: float) -> float:

@@ -7,10 +7,11 @@ approximation).  Every party functional depends only on how many of the
 party's results are +1, so two routes cover every layout:
 
 * a pure-product fast path (one product-correlation integral),
-* a plus-count route: on the quadrature grid of ``exact._Bracket`` each
-  party's bracket product is expanded in powers of t, the power counting its
-  +1 results, and the coefficients are weighted with the party's values.
-  Its cost is polynomial in the measurement count.
+* a plus-count route: on the quadrature grid of ``exact._Bracket``, which
+  has 2(M + 1)(M + 2) cells at any particle number, each party's bracket
+  product is expanded in powers of t, the power counting its +1 results, and
+  the coefficients are weighted with the party's values.  Its cost is
+  polynomial in the measurement count and independent of N.
 
 The tests hold both against the full outcome table of
 ``exact.all_sequence_probabilities`` and the state-vector oracle.
@@ -51,27 +52,32 @@ def _check_layout(config: ExperimentConfig, layout):
     return kept, constant
 
 
-# C(r, k) stays below the float maximum for r <= 1024 (C(1024, 512) ~ 4.5e306)
-_MAX_RUN = 1024
-
-
 @lru_cache(maxsize=64)
-def _binomials(r: int) -> np.ndarray:
-    return np.array([float(comb(r, k)) for k in range(r + 1)])
+def _expansion(r: int) -> np.ndarray:
+    """Rows (log C(r, k), k, r - k) for k = 0..r."""
+    k = np.arange(r + 1.0)
+    return np.stack([[math.log(comb(r, j)) for j in range(r + 1)], k, r - k], axis=1)
 
 
 def _run_terms(kernel: exact._Bracket, phi: float, r: int) -> np.ndarray:
     """Coefficients C(r, k) plus**k minus**(r - k) of t**k in (minus + t plus)**r,
     k = 0..r along axis 0, for r results at ``phi``.  Plus and minus are the
-    halved brackets of the outcomes +1 and -1 over the grid."""
-    powers = np.empty((r + 1, 2) + kernel.shape)
-    powers[0] = 1.0
-    np.multiply(0.5, kernel.bracket(1, phi), out=powers[1, 0])
-    np.multiply(0.5, kernel.bracket(-1, phi), out=powers[1, 1])
-    for k in range(1, r):
-        np.multiply(powers[k], powers[1], out=powers[k + 1])
-    binomials = _binomials(r).reshape(-1, 1, 1)
-    return binomials * powers[:, 0] * powers[::-1, 1]
+    halved brackets of the outcomes +1 and -1 over the grid.  The terms are
+    taken in log space with their signs tracked, so no binomial overflows and
+    no power underflows, whatever r."""
+    rows = _expansion(r)
+    etas = np.array([0.5, -0.5]).reshape(2, 1, 1)
+    halves = (0.5 * kernel.cos_big + etas * kernel.transverse(phi)).reshape(2, -1)
+    with np.errstate(divide="ignore"):
+        # a finite stand-in for log 0 keeps 0**0 = 1 and still gives 0**k = 0
+        logs = np.maximum(np.log(np.abs(halves)), -1e300)
+    terms = np.exp(rows[:, :1] + rows[:, 1:] @ logs)
+    # the sign is (sign(plus) sign(minus))**k sign(minus)**r
+    negative = halves < 0
+    terms[1::2] *= np.where(negative[0] != negative[1], -1.0, 1.0)
+    if r % 2:
+        terms *= np.where(negative[1], -1.0, 1.0)
+    return terms.reshape((r + 1,) + kernel.shape)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,14 +95,12 @@ def _party_value(kernel: exact._Bracket, angles, func: PartyFunctional) -> np.nd
 
     e_k, the coefficient of t**k in prod_j (minus_j + t plus_j), gathers the
     histories with k results +1; the halved brackets keep sum_k |e_k| <= 1.
-    Equal angles share one binomial expansion, cut into runs of at most
-    ``_MAX_RUN`` results.
+    Equal angles share one binomial expansion.
     """
     coeffs = None
     for phi, total in Counter(angles).items():
-        for start in range(0, total, _MAX_RUN):
-            terms = _run_terms(kernel, phi, min(_MAX_RUN, total - start))
-            coeffs = terms if coeffs is None else _convolve(coeffs, terms)
+        terms = _run_terms(kernel, phi, total)
+        coeffs = terms if coeffs is None else _convolve(coeffs, terms)
     values = func.values_table(len(angles))
     return (values @ coeffs.reshape(values.size, -1)).reshape(coeffs.shape[1:])
 
@@ -146,7 +150,7 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
             integrand = integrand * _party_value(part, config.angles[start:start + count], func)
             start += count
         total += float(integrand.sum())
-    return constant * total / (k_big * k_lam) / kernel.denominator(0)
+    return constant * total / (k_big * k_lam)
 
 
 def _as_party_angles(value, count: int) -> list[float]:

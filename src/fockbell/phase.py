@@ -97,7 +97,7 @@ def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray
     work entirely when only a few distinct angles occur.
     """
     m = config.m
-    kernel = exact._Bracket.quantum(config.n_plus, config.n_minus)
+    kernel = exact._Bracket.quantum(config.n_plus, config.n_minus, m)
     groups: list[float] = []
     group_of = []
     for phi in config.angles:
@@ -200,6 +200,7 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
     if m == 0:
         return np.empty((count, 0), dtype=np.int8)
     grouped = mode == "exact" and len(set(config.angles)) <= 6
+    # batches hold about 4e6 grid cells: 2(M + 1)(M + 2) per chain, 2(M + 2) if classical
     if batch_size is None:
         batch_size = count if grouped else max(1, min(count, 4_000_000 // math.prod(kernel.shape)))
     out = np.empty((count, m), dtype=np.int8)

@@ -316,7 +316,7 @@ def test_criterion_11_oracle_equivalence(capsys):
     code = cli_main(["oracle-check", "--n-max", "10", "--seed", "0", "--angle-sets", "50"])
     out = capsys.readouterr().out
     ok = code == 0 and "PASS" in out
-    gap_line = next(line for line in out.splitlines() if "max |oracle" in line)
+    gap_line = next(line for line in out.splitlines() if line.startswith("max |oracle"))
     report(11, ok, f"state-vector sweep n<=10, all splits, 50 angle sets: {gap_line}")
     assert ok
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fockbell.cli import main
+from fockbell.exact import all_sequence_probabilities
+from fockbell.model import ExperimentConfig
 
 
 def write(tmp_path, name, payload):
@@ -181,6 +184,19 @@ class TestOracleCheck:
         assert "PASS" in out
         assert "max |oracle - exact|" in out
 
+    def test_per_n_gap_table(self, capsys):
+        code, out, _ = run(capsys, ["oracle-check", "--n-max", "5", "--angle-sets", "3",
+                                    "--seed", "4"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        rows = [line for line in lines if line.startswith("n=")]
+        assert [row.split(":")[0] for row in rows] == ["n=2", "n=3", "n=4", "n=5"]
+        assert lines[:4] == rows
+        gaps = [float(row.rsplit("=", 1)[1]) for row in rows]
+        summary = next(line for line in lines if line.startswith("max |oracle - exact| = "))
+        assert max(gaps) == float(summary.rsplit("=", 1)[1])
+        assert lines[-1] == "PASS"
+
     def test_limit_enforced(self, capsys):
         code, _, _ = run(capsys, ["oracle-check", "--n-max", "11"])
         assert code == 2
@@ -227,19 +243,41 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("command,payload", [
-        ("correlate", {"n_plus": 10**12, "n_minus": 10**12, "angles": [0.1, 0.2]}),
         ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**12}),
-    ], ids=["huge-population", "huge-resolution"])
+    ], ids=["huge-resolution"])
     def test_impossible_allocation_is_numeric_error(self, tmp_path, capsys, command, payload):
-        # the grids would take terabytes, so the allocation fails at once
+        # the grid would take terabytes, so the allocation fails at once
         path = write(tmp_path, "in.json", payload)
         code, _, err = run(capsys, [command, path])
         assert code == 3
         assert err.startswith("error:")
 
-    def test_underflowing_normalization_is_numeric_error(self, tmp_path, capsys):
-        # C_N = 2**-1100 underflows to 0.0
+    def test_huge_population_correlates(self, tmp_path, capsys):
+        # the rule's size is set by M alone; E = G(2) cos 0.1 with
+        # G(2) = 2 n_plus n_minus / (N (N - 1))
+        half = 10**12
+        cfg = write(tmp_path, "c.json", {"n_plus": half, "n_minus": half, "angles": [0.1, 0.2]})
+        code, out, _ = run(capsys, ["correlate", cfg])
+        assert code == 0
+        g = Fraction(2 * half * half, 2 * half * (2 * half - 1))
+        assert float(out.strip().split(",")[-1]) == pytest.approx(
+            float(g) * math.cos(0.1), abs=1e-14)
+
+    def test_single_fock_state_at_large_n(self, tmp_path, capsys):
+        # C_N = 2**-1100 is below the float range, and the weights absorb it:
+        # a single Fock state gives independent fair results, so the product
+        # of two averages 0 and every sequence has probability 2**-M
         cfg = write(tmp_path, "c.json", {"n_plus": 0, "n_minus": 1100, "angles": [0.1, 0.2]})
+        code, out, _ = run(capsys, ["correlate", cfg])
+        assert code == 0
+        assert float(out.strip().split(",")[-1]) == pytest.approx(0.0, abs=1e-15)
+        for angles in ([0.1, 0.2], [0.3, -1.0, 2.2, 0.3]):
+            probs = all_sequence_probabilities(ExperimentConfig(0, 1100, tuple(angles)))
+            np.testing.assert_allclose(probs, 2.0 ** -len(angles), rtol=1e-13)
+
+    def test_overflowing_rule_weights_is_numeric_error(self, tmp_path, capsys):
+        # the weights reach 2**M for a single Fock state, beyond the float range at M = 1100
+        cfg = write(tmp_path, "c.json", {"n_plus": 0, "n_minus": 1100, "angles": [0.1] * 1100})
         code, _, err = run(capsys, ["correlate", cfg])
         assert code == 3
         assert err.startswith("error:")

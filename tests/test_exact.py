@@ -19,6 +19,7 @@ from fockbell.exact import (
     sequence_probability,
 )
 from fockbell.model import ExperimentConfig, OutcomeSequence
+from fockbell.oracle import oracle_all_probabilities, w_state
 
 
 def correlation_e_outcome_sum(config):
@@ -35,23 +36,47 @@ def quad_cn(n_plus, n_minus, nodes):
     return float(np.mean(np.cos((n_plus - n_minus) * lam) * np.cos(lam) ** (n_plus + n_minus)))
 
 
+def fock_moment(d, j):
+    """Integral of cos(d L) cos(L)**j over dL/2pi, as an exact fraction."""
+    if abs(d) > j or (j + d) % 2:
+        return Fraction(0)
+    return Fraction(comb(j, (j + d) // 2), 2 ** j)
+
+
 class TestQuadratureRule:
-    @pytest.mark.parametrize("k,degree", [(8, 5), (16, 13), (30, 29)])
-    def test_exact_below_node_count(self, k, degree):
-        # K = 2(N + 2) equispaced nodes on both axes; the node mean of
-        # cos(d*x + 0.3), its integral over dx/2pi, vanishes for 1 <= d < K
-        kernel = _Bracket.quantum(k // 2 - 2, 0)
-        assert kernel.shape == (k, k)
-        nodes = kernel.lam.ravel()
-        assert np.array_equal(np.cos(nodes), kernel.cos_big.ravel())
-        assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
+    @pytest.mark.parametrize("n_plus,n_minus,m", [
+        (3, 2, 5), (6, 6, 4), (1, 9, 3), (4, 4, 0), (100, 500, 2), (0, 40, 7), (250, 250, 12),
+    ])
+    def test_exact_through_degree_m(self, n_plus, n_minus, m):
+        # M + 1 Lambda nodes integrate cos(d L) cos(L)**(N - M + j) / C_N for
+        # every j <= M, so every polynomial of degree M in cos(L); round-off
+        # scales with the weights, which reach 2**M for a single Fock state
+        kernel = _Bracket.quantum(n_plus, n_minus, m)
+        assert kernel.shape == (m + 1, 2 * (m + 2))
+        n, d = n_plus + n_minus, n_plus - n_minus
+        tol = 1e-15 * max(1.0, float(np.abs(kernel.weight_big).sum()))
+        for j in range(m + 1):
+            want = fock_moment(d, n - m + j) / fock_moment(d, n)
+            got = np.mean(kernel.weight(m) * kernel.cos_big ** j)
+            assert got == pytest.approx(float(want), abs=tol)
 
     def test_constant(self):
-        kernel = _Bracket.quantum(3, 2)
-        assert kernel.shape == (14, 14)
-        # the weight with no measurement integrates to C_N
-        assert np.mean(kernel.weight(0)) == pytest.approx(normalization_cn(3, 2), abs=1e-15)
-        assert _Bracket.classical(5).shape == (1, 14)
+        # the weight with no measurement integrates to 1: C_N is in the weights
+        for n_plus, n_minus, m in [(3, 2, 5), (7, 1, 2), (10**6, 10**6 - 2, 6)]:
+            kernel = _Bracket.quantum(n_plus, n_minus, m)
+            assert np.mean(kernel.weight(0)) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("k,degree", [(8, 5), (16, 13), (30, 29)])
+    def test_exact_below_node_count(self, k, degree):
+        # K = 2(M + 2) equispaced lambda nodes for either law; the node mean of
+        # cos(d*x + 0.3), its integral over dx/2pi, vanishes for 1 <= d < K
+        m = k // 2 - 2
+        kernel = _Bracket.quantum(m + 3, m, m)
+        assert kernel.shape == (m + 1, k)
+        nodes = kernel.lam.ravel()
+        assert np.array_equal(nodes, _Bracket.classical(m).lam.ravel())
+        assert _Bracket.classical(m).shape == (1, k)
+        assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
 
 
 class TestNormalizationCn:
@@ -346,6 +371,80 @@ class TestCorrectionFactor:
             for n in range(4, 41, 2) for m in range(2, n, 2)
         )
         assert worst <= 2 / 3 + 1e-12
+
+
+def exact_g(m, n_plus, n_minus):
+    """Correction factor C(M, M/2) [n_plus]_(M/2) [n_minus]_(M/2) / [N]_M in exact fractions."""
+    h, n = m // 2, n_plus + n_minus
+    value = Fraction(comb(m, h))
+    for i in range(h):
+        value *= Fraction((n_plus - i) * (n_minus - i))
+    for i in range(m):
+        value /= n - i
+    return value
+
+
+class TestAnyPopulation:
+    """The Lambda rule at unequal populations and large N, where a trapezoid on Lambda
+    loses every digit to the division by C_N."""
+
+    def test_unequal_partial_correlation(self):
+        got = correlation_e(ExperimentConfig(100, 500, (0.1, 0.3)))
+        assert got == pytest.approx(correction_factor_g(2, 100, 500) * math.cos(0.2), abs=1e-13)
+        assert got == pytest.approx(0.2727, abs=1e-4)
+
+    def test_unequal_equal_angle_block(self):
+        got = correlation_e(ExperimentConfig(200, 400, (0.3,) * 4))
+        assert got == pytest.approx(float(exact_g(4, 200, 400)), abs=1e-13)
+        assert got == pytest.approx(0.2970, abs=1e-4)
+
+    def test_unequal_table_sums_to_one(self):
+        probs = all_sequence_probabilities(ExperimentConfig(100, 500, (0.1, 0.3)))
+        assert np.all(probs >= 0.0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-13)
+
+    def test_every_marginal_against_oracle(self):
+        # every N <= 12, population split and M <= N, against the marginal of
+        # the state vector's full table over the unmeasured spins
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for n in range(1, 13):
+            for n_plus in range(n + 1):
+                angles = rng.uniform(-np.pi, np.pi, n)
+                full = oracle_all_probabilities(w_state(n_plus, n - n_plus), angles)
+                for m in range(n + 1):
+                    probs = all_sequence_probabilities(
+                        ExperimentConfig(n_plus, n - n_plus, tuple(angles[:m])))
+                    worst = max(worst, np.max(np.abs(probs - full.reshape(-1, 2 ** m).sum(axis=0))))
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 7, 1100, 10**6])
+    def test_single_fock_state_is_fair(self, n):
+        rng = np.random.default_rng(n)
+        for m in range(1, min(n, 6) + 1):
+            angles = tuple(rng.uniform(-np.pi, np.pi, m))
+            for n_plus in (0, n):
+                probs = all_sequence_probabilities(ExperimentConfig(n_plus, n - n_plus, angles))
+                np.testing.assert_allclose(probs, 2.0 ** -m, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 1000, 10**4, 10**6])
+    def test_partial_correlation_is_g_times_full(self, n):
+        # correction_factor_g works in log-gamma space and loses about N eps
+        rng = np.random.default_rng(n)
+        for m in (2, 4, 6, 8):
+            for n_plus in (n // 2, n // 3):
+                angles = tuple(rng.uniform(-np.pi, np.pi, m))
+                full = correlation_e(ExperimentConfig(m // 2, m // 2, angles))
+                got = correlation_e(ExperimentConfig(n_plus, n - n_plus, angles))
+                assert got == pytest.approx(
+                    correction_factor_g(m, n_plus, n - n_plus) * full, abs=1e-9)
+                assert got == pytest.approx(float(exact_g(m, n_plus, n - n_plus)) * full,
+                                            abs=1e-14)
+
+    def test_cost_does_not_grow_with_n(self):
+        # the rule has M + 1 Lambda nodes and 2(M + 2) lambda nodes at any N
+        kernel = _Bracket.quantum(10**12, 10**12 + 4, 6)
+        assert kernel.shape == (7, 16)
 
 
 class TestClassicalLaw:

@@ -117,7 +117,7 @@ class TestExpectation:
             assert expectation(cfg, layout, law="classical") == pytest.approx(classical,
                                                                               abs=1e-12)
 
-    @pytest.mark.parametrize("m", [700, 1030, 1100])
+    @pytest.mark.parametrize("m", [700, 1030, 1100, 2100])
     def test_long_binned_party_against_binomial_quadrature(self, m):
         # classical law: given lambda each result is +1 with probability
         # p = (1 + cos(lambda - phi))/2, so the binned sign of the odd count

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockbell.exact import correlation_closed_form
 from fockbell.functional import bell_value
 from fockbell.model import BellFunctionalSpec, PartyFunctional
 from fockbell.optimizer import (
@@ -52,6 +53,18 @@ class TestMaximizeFan:
         res = maximize_fan(spec, 8)
         again = bell_value(spec, res.angles, 4, 4)
         assert again == pytest.approx(res.q_max, abs=1e-9)
+
+    @pytest.mark.parametrize("n,p", [(8, 3), (400, 50), (3100, 50)])
+    def test_grid_scan_matches_scalar_route(self, n, p):
+        # the scan takes the closed form on the whole grid in one matrix
+        # product; the optimum lies next to the scalar route's best grid node
+        grid = np.linspace(1e-9, math.pi / 2, 4097)
+        values = [3 * correlation_closed_form(n, p, x) - correlation_closed_form(n, p, 3 * x)
+                  for x in grid]
+        i = int(np.argmax(values))
+        res = maximize_fan(BellFunctionalSpec.bchsh(p, n - p), n)
+        assert grid[max(i - 1, 0)] <= res.chi <= grid[min(i + 1, grid.size - 1)]
+        assert res.q_max >= values[i] - 1e-15
 
     def test_requires_product_functionals(self):
         spec = BellFunctionalSpec.bchsh(3, 1, PartyFunctional.binned_sign())

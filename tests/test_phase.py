@@ -122,7 +122,7 @@ class TestSampling:
             u[c] = _chain_generator(11, c).random(6)
         np.testing.assert_array_equal(
             _sample_exact_grouped(cfg, u),
-            _sample_batch(_Bracket.quantum(3, 3), cfg.angles, u))
+            _sample_batch(_Bracket.quantum(3, 3, 6), cfg.angles, u))
 
     def test_many_distinct_angles_takes_general_path(self):
         rng = np.random.default_rng(21)
