@@ -91,6 +91,7 @@ class _Bracket:
     weight_big: np.ndarray   # Lambda weight w_i, shape (K_Lambda, 1)
     lam: np.ndarray          # lambda nodes, shape (1, K_lambda)
     m: int                   # measurements the rule is built for
+    moment0: float           # mean of weight(M), exactly (0 where it vanishes)
 
     def __post_init__(self) -> None:
         # instances are cached and shared, so their arrays must stay as built
@@ -117,13 +118,14 @@ class _Bracket:
             weights = np.cos(np.outer(theta, k)) @ (np.where(k, 2.0, 1.0) * moments)
         if not np.all(np.isfinite(weights)):
             raise UnnormalizableConfigError("Lambda rule weights overflow")
-        return cls(np.cos(theta)[:, None], weights[:, None], _nodes(2 * (m + 2))[None, :], m)
+        return cls(np.cos(theta)[:, None], weights[:, None], _nodes(2 * (m + 2))[None, :], m,
+                   float(moments[0]))
 
     @classmethod
     @lru_cache(maxsize=32)
     def classical(cls, m: int) -> "_Bracket":
         one = np.ones((1, 1))
-        return cls(one, one, _nodes(2 * (m + 2))[None, :], m)
+        return cls(one, one, _nodes(2 * (m + 2))[None, :], m, 1.0)
 
     @classmethod
     def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
@@ -204,12 +206,13 @@ def _product(kernel: _Bracket, rows) -> np.ndarray:
 
     Summed over its outcome each bracket leaves 2 cos(lambda - phi), so the
     integrand separates: the Lambda mean of the weight times the lambda mean
-    of the cosine product.  The first is the moment of T_0, which is exactly
-    0 for odd M and for |d| > N - M, so there the average is round-off.
+    of the cosine product.  The first is the kernel's closed-form moment of
+    T_0, exactly 0 for odd M and for |d| > N - M, where the node mean of the
+    large weights would be round-off.
     """
     rows = np.asarray(rows, dtype=float)
     lam_mean = np.cos(kernel.lam[None] - rows[:, :, None]).prod(axis=1).mean(axis=1)
-    return float(kernel.weight(rows.shape[1]).mean()) * lam_mean
+    return kernel.moment0 * lam_mean + 0.0  # + 0.0 turns a vanishing -0.0 into 0.0
 
 
 def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) -> float:
@@ -250,21 +253,33 @@ def _closed_form_coefficients(n: int, p: int) -> tuple[float, ...]:
     ) for k in range(p // 2 + 1))
 
 
+def _closed_form_sum(n: int, p: int, chi) -> np.ndarray:
+    """E(chi) of :func:`correlation_closed_form` at each of the angles ``chi``.
+
+    Every term has the sign of cos(chi)**p, so a plain sum is accurate.  The
+    (terms x angles) matrix is built for slices of about 2**18 / p angles,
+    so memory does not grow with p.
+    """
+    coeffs, k = np.array(_closed_form_coefficients(n, p)), np.arange(p // 2 + 1)[:, None]
+    x = np.atleast_1d(np.asarray(chi, dtype=float))
+    width = max(1, 2**18 // k.size)
+    return np.concatenate([coeffs @ (np.sin(s) ** (2 * k) * np.cos(s) ** (p - 2 * k))
+                           for s in np.split(x, range(width, x.size, width))])
+
+
 def correlation_closed_form(n: int, p: int, chi: float) -> float:
     """Two-angle product correlation E(chi) for equal populations, M = N.
 
     Alice measures ``p`` spins at one angle and Bob the remaining ``n - p``
-    at another, ``chi`` apart.  Evaluated as the finite factorial sum in
-    log-gamma space with compensated summation, so it stays accurate for
-    particle numbers far beyond what quadrature enumeration reaches.
+    at another, ``chi`` apart.  Evaluated as the finite factorial sum with
+    coefficients in log-gamma space, so it stays accurate for particle
+    numbers far beyond what quadrature enumeration reaches.
     """
     if n % 2:
         raise ValueError("closed form requires an even total particle number")
     if not 1 <= p <= n - 1:
         raise ValueError("need 1 <= p <= n-1")
-    s, c = math.sin(chi), math.cos(chi)
-    return math.fsum(coeff * s ** (2 * k) * c ** (p - 2 * k)
-                     for k, coeff in enumerate(_closed_form_coefficients(n, p)))
+    return float(_closed_form_sum(n, p, chi)[0])
 
 
 def correlation_gaussian(n: int, p: int, chi: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .exact import _closed_form_coefficients, correlation_closed_form
+from .exact import _closed_form_sum, correlation_closed_form
 from .functional import bell_value
 from .model import BellFunctionalSpec, FanAngles
 
@@ -70,9 +70,9 @@ def maximize_fan(spec: BellFunctionalSpec, n: int, p: int | None = None) -> Opti
     """Maximize the product-BCHSH quantity over fan-arranged settings.
 
     On a fan the four correlations collapse to Q(chi) = 3 E(chi) - E(3 chi)
-    with E from the closed-form factorial sum, so a coarse scan (one matrix
-    product over the grid) plus a golden-section refinement over chi in
-    (0, pi/2] suffices; chi is located to 1e-10.
+    with E from the closed-form factorial sum, so a coarse scan (the whole
+    grid in one call) plus a golden-section refinement over chi in (0, pi/2]
+    suffices; chi is located to 1e-10.
     """
     ca, cb = _require_product_bchsh(spec)
     if p is None:
@@ -87,11 +87,7 @@ def maximize_fan(spec: BellFunctionalSpec, n: int, p: int | None = None) -> Opti
 
     lo, hi = 1e-9, math.pi / 2
     grid = np.linspace(lo, hi, 4097)
-    # E over the whole grid at once; every term has the sign of cos(chi)**p, so a plain sum
-    k = np.arange(p // 2 + 1)[:, None]
-    e = [_closed_form_coefficients(n, p) @ (np.sin(x) ** (2 * k) * np.cos(x) ** (p - 2 * k))
-         for x in (grid, 3.0 * grid)]
-    values = 3.0 * e[0] - e[1]
+    values = 3.0 * _closed_form_sum(n, p, grid) - _closed_form_sum(n, p, 3.0 * grid)
     i = int(np.argmax(values))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, grid.size - 1)]

@@ -441,6 +441,16 @@ class TestAnyPopulation:
                 assert got == pytest.approx(float(exact_g(m, n_plus, n - n_plus)) * full,
                                             abs=1e-14)
 
+    @pytest.mark.parametrize("n_plus,n_minus,m", [
+        (0, 1100, 40), (0, 1100, 60), (0, 1100, 61), (20, 44, 64), (2, 2, 3),
+    ])
+    def test_vanishing_product_is_exactly_zero(self, n_plus, n_minus, m):
+        # odd M, or |d| > N - M: the weights reach 2**M or 1/C_N, but the
+        # product average takes their mean from the closed-form moment
+        angles = tuple(np.random.default_rng(m).uniform(-np.pi, np.pi, m))
+        for row in (angles, (0.3,) * m):
+            assert correlation_e(ExperimentConfig(n_plus, n_minus, row)) == 0.0
+
     def test_cost_does_not_grow_with_n(self):
         # the rule has M + 1 Lambda nodes and 2(M + 2) lambda nodes at any N
         kernel = _Bracket.quantum(10**12, 10**12 + 4, 6)

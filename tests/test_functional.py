@@ -205,6 +205,15 @@ class TestBellValue:
             assert bell_value(spec, angles, 3, 3) == pytest.approx(
                 statevector_block_value(spec, angles, 3, 3), abs=1e-12)
 
+    def test_block_forms_vanish_at_unequal_populations(self):
+        # every letter product averages to exactly 0, also at (20, 44) where 1/C_N is about 1e3
+        rng = np.random.default_rng(53)
+        angles = rng.uniform(-np.pi, np.pi, 8)
+        small = BellFunctionalSpec.double_bchsh((1, 2, 1, 2))
+        assert statevector_block_value(small, angles, 2, 4) == pytest.approx(0.0, abs=1e-13)
+        assert bell_value(small, angles, 2, 4) == 0.0
+        assert bell_value(BellFunctionalSpec.double_bchsh((16, 16, 16, 16)), angles, 20, 44) == 0.0
+
     def test_double_requires_all_particles_measured(self):
         spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,10 +55,10 @@ class TestMaximizeFan:
         again = bell_value(spec, res.angles, 4, 4)
         assert again == pytest.approx(res.q_max, abs=1e-9)
 
-    @pytest.mark.parametrize("n,p", [(8, 3), (400, 50), (3100, 50)])
+    @pytest.mark.parametrize("n,p", [(8, 3), (400, 50), (3100, 50), (4000, 2000)])
     def test_grid_scan_matches_scalar_route(self, n, p):
-        # the scan takes the closed form on the whole grid in one matrix
-        # product; the optimum lies next to the scalar route's best grid node
+        # the scan takes the closed form on the whole grid in one call, in
+        # slices at large p; the optimum lies next to the scalar route's best grid node
         grid = np.linspace(1e-9, math.pi / 2, 4097)
         values = [3 * correlation_closed_form(n, p, x) - correlation_closed_form(n, p, 3 * x)
                   for x in grid]
@@ -65,6 +66,17 @@ class TestMaximizeFan:
         res = maximize_fan(BellFunctionalSpec.bchsh(p, n - p), n)
         assert grid[max(i - 1, 0)] <= res.chi <= grid[min(i + 1, grid.size - 1)]
         assert res.q_max >= values[i] - 1e-15
+
+    def test_scan_memory_does_not_grow_with_p(self):
+        # a term matrix of the whole grid would hold 1001 x 4097 floats per array
+        tracemalloc.start()
+        try:
+            res = maximize_fan(BellFunctionalSpec.bchsh(2000, 2000), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert res.q_max == pytest.approx(2.3245, abs=1e-4)
 
     def test_requires_product_functionals(self):
         spec = BellFunctionalSpec.bchsh(3, 1, PartyFunctional.binned_sign())
