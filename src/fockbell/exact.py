@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import lgamma
 
 import numpy as np
+from scipy.special import xlogy
 
 from .model import ExperimentConfig, OutcomeSequence
 
@@ -69,6 +70,20 @@ def normalization_cn(n_plus: int, n_minus: int) -> float:
     return math.exp(lgamma(n + 1) - lgamma(n_plus + 1) - lgamma(n_minus + 1) - n * math.log(2.0))
 
 
+def _falling_ratio(n_plus: int, n_minus: int, m: int) -> np.ndarray:
+    """2**m [n_plus]_s [n_minus]_(m - s) / [N]_m for s = 0..m, [a]_s the falling factorial.
+
+    Each factor is taken over N/2 or N, so that the cumulative log sums stay
+    small and the ratio is exact to round-off at any N; it is 0 where a
+    population runs out.
+    """
+    n, d, steps = n_plus + n_minus, n_plus - n_minus, np.arange(m)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up, down = (np.concatenate([[0.0], np.cumsum(np.log1p(np.maximum(
+            (e - 2 * steps) / n, -1.0)))]) for e in (d, -d))
+        return np.exp(up + down[::-1] - np.log1p(-steps / n).sum())
+
+
 @dataclass(frozen=True)
 class _Bracket:
     """The (Lambda, lambda) quadrature behind every statistic in this package.
@@ -101,16 +116,10 @@ class _Bracket:
     @classmethod
     @lru_cache(maxsize=32)
     def quantum(cls, n_plus: int, n_minus: int, m: int) -> "_Bracket":
-        n, d = n_plus + n_minus, n_plus - n_minus
         # ratio[s] = 2**m C(N - m, n_plus - s) / C(N, n_plus)
-        #          = 2**m [n_plus]_s [n_minus]_(m - s) / [N]_m, each factor taken
-        # over N/2 or N so that the log sums stay small
-        steps, k = np.arange(m), np.arange(m + 1)
+        ratio, k = _falling_ratio(n_plus, n_minus, m), np.arange(m + 1)
         theta = np.pi * (k + 0.5) / (m + 1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            up, down = (np.concatenate([[0.0], np.cumsum(np.log1p(np.maximum(
-                (e - 2 * steps) / n, -1.0)))]) for e in (d, -d))
-            ratio = np.exp(up + down[::-1] - np.log1p(-steps / n).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
             # moment of T_k: [mu(N - m, d + k) + mu(N - m, d - k)] / 2 C_N, with
             # mu(j, q) = C(j, (j + q)/2) / 2**j the integral of cos(q L) cos(L)**j
             moments = np.where((m - k) % 2, 0.0,
@@ -244,27 +253,38 @@ def correlation_e(config: ExperimentConfig) -> float:
 
 
 @lru_cache(maxsize=64)
-def _closed_form_coefficients(n: int, p: int) -> tuple[float, ...]:
-    """Coefficient of sin(chi)**(2k) cos(chi)**(p - 2k) in E(chi), k = 0..p//2."""
-    return tuple(math.exp(
-        lgamma(n / 2 + 1) - lgamma(n + 1)
-        + lgamma(p + 1) + lgamma(n - 2 * k + 1)
-        - lgamma(k + 1) - lgamma(p - 2 * k + 1) - lgamma(n / 2 - k + 1)
-    ) for k in range(p // 2 + 1))
+def _closed_form_log_coefficients(n: int, p: int) -> np.ndarray:
+    """Log of the coefficient c_k of sin(chi)**(2k) cos(chi)**(p - 2k) in E(chi), k = 0..p//2.
+
+    c_0 = 1 and c_(k+1) / c_k = (p - 2k)(p - 2k - 1) / 2(k + 1)(n - 2k - 1), so the
+    logs are one cumulative sum of the ratios' logs, exact to round-off at any n.
+    """
+    k = np.arange(p // 2, dtype=float)
+    out = np.concatenate([[0.0], np.cumsum(np.log(
+        (p - 2 * k) * (p - 2 * k - 1) / (2 * (k + 1) * (n - 2 * k - 1))))])
+    out.flags.writeable = False
+    return out
 
 
 def _closed_form_sum(n: int, p: int, chi) -> np.ndarray:
     """E(chi) of :func:`correlation_closed_form` at each of the angles ``chi``.
 
-    Every term has the sign of cos(chi)**p, so a plain sum is accurate.  The
+    Every term has the sign of cos(chi)**p, so a plain sum of their moduli is
+    accurate; each modulus is one exponential of its logarithm, since the
+    coefficient alone can leave the float range where the term does not.  The
     (terms x angles) matrix is built for slices of about 2**18 / p angles,
     so memory does not grow with p.
     """
-    coeffs, k = np.array(_closed_form_coefficients(n, p)), np.arange(p // 2 + 1)[:, None]
+    log_c, k = _closed_form_log_coefficients(n, p)[:, None], np.arange(p // 2 + 1)[:, None]
     x = np.atleast_1d(np.asarray(chi, dtype=float))
     width = max(1, 2**18 // k.size)
-    return np.concatenate([coeffs @ (np.sin(s) ** (2 * k) * np.cos(s) ** (p - 2 * k))
-                           for s in np.split(x, range(width, x.size, width))])
+
+    def part(s: np.ndarray) -> np.ndarray:
+        sin, cos = np.abs(np.sin(s)), np.cos(s)
+        terms = np.exp(log_c + xlogy(2 * k, sin) + xlogy(p - 2 * k, np.abs(cos)))
+        return terms.sum(axis=0) * np.where(cos < 0.0, (-1.0) ** p, 1.0)
+
+    return np.concatenate([part(s) for s in np.split(x, range(width, x.size, width))])
 
 
 def correlation_closed_form(n: int, p: int, chi: float) -> float:
@@ -272,8 +292,8 @@ def correlation_closed_form(n: int, p: int, chi: float) -> float:
 
     Alice measures ``p`` spins at one angle and Bob the remaining ``n - p``
     at another, ``chi`` apart.  Evaluated as the finite factorial sum with
-    coefficients in log-gamma space, so it stays accurate for particle
-    numbers far beyond what quadrature enumeration reaches.
+    every term taken in log space, so it stays accurate and finite for
+    particle numbers far beyond what quadrature enumeration reaches.
     """
     if n % 2:
         raise ValueError("closed form requires an even total particle number")
@@ -322,10 +342,8 @@ def correction_factor_g(m: int, n_plus: int, n_minus: int) -> float:
     h = m // 2
     if n_plus < h or n_minus < h:
         return 0.0
-    return math.exp(
-        lgamma(n - m + 1) + lgamma(m + 1) + lgamma(n_plus + 1) + lgamma(n_minus + 1)
-        - lgamma(n_plus - h + 1) - lgamma(n_minus - h + 1) - 2 * lgamma(h + 1) - lgamma(n + 1)
-    )
+    # C(M, h) [n_plus]_h [n_minus]_h / [N]_M, through the Lambda rule's own ratio
+    return math.comb(m, h) / 2**m * float(_falling_ratio(n_plus, n_minus, m)[h])
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ class PartyFunctional:
         return {"plus_one": 1.0, "zero": 0.0, "random": 0.0}[self.zero_policy]
 
     def values_table(self, count: int) -> np.ndarray:
-        """Values over k = 0..count, as used by the grouped evaluation paths."""
+        """Values over k = 0..count +1 results, as the plus-count route contracts them."""
         return np.array(
             [self.value_given_plus_count(k, count) for k in range(count + 1)]
         )

@@ -83,80 +83,22 @@ def next_outcome_probability(config: ExperimentConfig, history, *,
 
 
 # ---------------------------------------------------------------------------
-# Batched sequential sampling.  Chains are independent; chain i consumes the
-# Philox stream keyed by (seed, i) regardless of batching.
+# Batched sequential sampling.  The law is symmetric in the results taken at
+# one angle, so a chain's next conditional depends on its history only through
+# its (+1, -1) counts per distinct angle: chains sharing those counts share one
+# renormalized grid row.  Chain i consumes the Philox stream keyed by (seed, i)
+# and depends only on the chains before it in its batch, so the count never
+# changes it.
 # ---------------------------------------------------------------------------
 
-def _sample_exact_grouped(config: ExperimentConfig, u: np.ndarray) -> np.ndarray:
-    """Exact-mode sampling deduplicated over same-angle outcome counts.
-
-    The joint probability is invariant under permuting outcomes within one
-    measurement angle, so a chain's conditional depends on its history only
-    through the per-angle (+1, -1) counts.  All chains sharing a count
-    vector reuse one quadrature evaluation, which removes the per-chain grid
-    work entirely when only a few distinct angles occur.
-    """
-    m = config.m
-    kernel = exact._Bracket.quantum(config.n_plus, config.n_minus, m)
-    groups: list[float] = []
-    group_of = []
-    for phi in config.angles:
-        if phi not in groups:
-            groups.append(phi)
-        group_of.append(groups.index(phi))
-    ngroups = len(groups)
-    # bracket powers per group and sign, up to that group's multiplicity
-    counts_per_group = [group_of.count(g) for g in range(ngroups)]
-    powers = []
-    for g, phi in enumerate(groups):
-        plus = kernel.bracket(1, phi)
-        minus = kernel.bracket(-1, phi)
-        pp, mp = [np.ones_like(plus)], [np.ones_like(plus)]
-        for _ in range(counts_per_group[g]):
-            pp.append(pp[-1] * plus)
-            mp.append(mp[-1] * minus)
-        powers.append((pp, mp))
-
-    cache: dict[tuple, float] = {}
-
-    def joint(state: tuple) -> float:
-        # state = (plus_0, minus_0, plus_1, minus_1, ...)
-        val = cache.get(state)
-        if val is None:
-            integ = kernel.weight(sum(state))
-            for g in range(ngroups):
-                pp, mp = powers[g]
-                integ = integ * pp[state[2 * g]] * mp[state[2 * g + 1]]
-            val = float(integ.mean())
-            cache[state] = val
-        return val
-
-    count = u.shape[0]
-    states = np.zeros((count, 2 * ngroups), dtype=np.int16)
-    etas = np.empty((count, m), dtype=np.int8)
-    for j in range(m):
-        g = group_of[j]
-        uniq, inverse = np.unique(states, axis=0, return_inverse=True)
-        cond = np.empty(uniq.shape[0])
-        for i, row in enumerate(uniq):
-            here = tuple(int(x) for x in row)
-            denom = joint(here)
-            if denom <= 0.0:
-                raise ConditioningError("conditioning probability vanished during sampling")
-            plus_state = list(here)
-            plus_state[2 * g] += 1
-            cond[i] = joint(tuple(plus_state)) / (2.0 * denom)
-        prob_plus = np.clip(cond[inverse], 0.0, 1.0)
-        eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
-        etas[:, j] = eta
-        states[eta > 0, 2 * g] += 1
-        states[eta < 0, 2 * g + 1] += 1
-    return etas
+# grid cells per batch of chains, at one row per chain: 2(M + 1)(M + 2) per row,
+# 2(M + 2) if classical; a batch never holds more rows than chains
+_BATCH_CELLS = 4_000_000
 
 
 def _plus_probability(kernel: exact._Bracket, g: np.ndarray, j: int,
                       phi: float) -> np.ndarray:
-    """P(eta_j = +1 | history) per chain; ``g`` holds each history's bracket product."""
+    """P(eta_j = +1 | history) per row of ``g``, each row one history's bracket product."""
     plain = g.sum(axis=2)                        # sum over lambda
     weighted = (g * kernel.transverse(phi)).sum(axis=2)
     num_plus = ((plain * kernel.cos_big[:, 0] + weighted) * kernel.weight(j + 1)[:, 0]).sum(axis=1)
@@ -168,30 +110,44 @@ def _plus_probability(kernel: exact._Bracket, g: np.ndarray, j: int,
 
 def _condition(kernel: exact._Bracket, g: np.ndarray, eta: np.ndarray,
                phi: float) -> np.ndarray:
-    """Extend each chain's bracket product by its result, rescaled to unit mean modulus."""
+    """Extend each row's bracket product by its result, rescaled to unit mean modulus."""
     g = g * kernel.bracket(eta[:, None, None], phi)
     scale = np.abs(g).mean(axis=(1, 2))
     return g / np.maximum(scale, 1e-300)[:, None, None]
 
 
 def _sample_batch(kernel: exact._Bracket, angles, u: np.ndarray) -> np.ndarray:
-    """Chain-rule sampling under either law, one renormalized grid state per chain."""
+    """Chain-rule sampling under either law, one renormalized grid row per count state.
+
+    A state is a chain's vector of +1 counts per distinct angle; the -1 counts
+    follow from the step.  Each new state's row extends the parent row of the
+    state's lowest-index chain.
+    """
     count, m = u.shape
-    g = np.ones((count,) + kernel.shape)
+    column = np.unique(np.asarray(angles, dtype=float), return_inverse=True)[1].reshape(-1)
+    plus = np.zeros((count, column.max() + 1), dtype=np.int32)
+    state = np.zeros(count, dtype=np.intp)       # row of each chain
+    g = np.ones((1,) + kernel.shape)
     etas = np.empty((count, m), dtype=np.int8)
     for j, phi in enumerate(angles):
-        eta = np.where(u[:, j] < _plus_probability(kernel, g, j, phi), 1, -1).astype(np.int8)
+        prob_plus = _plus_probability(kernel, g, j, phi)[state]
+        eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
         etas[:, j] = eta
-        g = _condition(kernel, g, eta, phi)
+        plus[:, column[j]] += eta > 0
+        _, first, inverse = np.unique(plus, axis=0, return_index=True, return_inverse=True)
+        g = _condition(kernel, g[state[first]], eta[first], phi)
+        state = inverse.reshape(-1)
     return etas
 
 
 def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
-                     mode: str = "exact", batch_size: int | None = None) -> np.ndarray:
+                     mode: str = "exact") -> np.ndarray:
     """Draw ``count`` outcome sequences; returns an int8 array (count, M).
 
     Deterministic in ``seed``: chain i is a pure function of (seed, i), so
-    neither ``count`` nor ``batch_size`` changes previously drawn chains.
+    ``count`` does not change previously drawn chains.  Chains run in batches
+    of about 4e6 grid cells, one grid row per distinct count state, so memory
+    does not grow with ``count``.
     """
     kernel = exact._Bracket.for_law(mode, config.n_plus, config.n_minus, config.m)
     if count < 1:
@@ -199,20 +155,14 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
     m = config.m
     if m == 0:
         return np.empty((count, 0), dtype=np.int8)
-    grouped = mode == "exact" and len(set(config.angles)) <= 6
-    # batches hold about 4e6 grid cells: 2(M + 1)(M + 2) per chain, 2(M + 2) if classical
-    if batch_size is None:
-        batch_size = count if grouped else max(1, min(count, 4_000_000 // math.prod(kernel.shape)))
+    batch = max(1, min(count, _BATCH_CELLS // math.prod(kernel.shape)))
     out = np.empty((count, m), dtype=np.int8)
-    for start in range(0, count, batch_size):
-        stop = min(start + batch_size, count)
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
         u = np.empty((stop - start, m))
         for chain in range(start, stop):
             u[chain - start] = _chain_generator(seed, chain).random(m)
-        if grouped:
-            out[start:stop] = _sample_exact_grouped(config, u)
-        else:
-            out[start:stop] = _sample_batch(kernel, config.angles, u)
+        out[start:stop] = _sample_batch(kernel, config.angles, u)
     return out
 
 

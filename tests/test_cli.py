@@ -122,6 +122,17 @@ class TestScan:
         assert float(first[1]) == pytest.approx(2.28, abs=0.01)
         assert float(first[2]) > 0
 
+    def test_fan_scan_at_large_balanced_party(self, tmp_path, capsys):
+        # the closed form's coefficients overflow a float here; its terms do not
+        spec = write(tmp_path, "s.json", {"form": "bchsh", "p": 10000})
+        code, out, err = run(capsys, ["scan", spec, "--n-min", "20000", "--n-max", "20000",
+                                      "--mode", "fan"])
+        assert (code, err) == (0, "")
+        n, q_max, _ = out.strip().splitlines()[1].split(",")
+        assert n == "20000"
+        assert math.isfinite(float(q_max))
+        assert float(q_max) == pytest.approx(2.32, abs=0.01)
+
     def test_bad_range_rejected(self, tmp_path, capsys):
         spec = write(tmp_path, "s.json", {"form": "bchsh", "p": 1})
         code, _, _ = run(capsys, ["scan", spec, "--n-min", "3", "--n-max", "8"])

@@ -279,6 +279,30 @@ class TestClosedForm:
             assert correlation_closed_form(n, p, chi) == pytest.approx(
                 correlation_e(cfg), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [100, 1100, 2100, 2600, 3100])
+    def test_benchmark_fan_range_against_exact_coefficients(self, n):
+        # the fan scan's p = 50 over n = 100..3100, against the sum taken in exact
+        # fractions at the same float sin and cos; coefficients taken as log-gamma
+        # differences are off by 5e-14 at n = 100 and by 1.8e-12 at n = 2600
+        p = 50
+        for chi in (0.0, 0.02, 0.075, 0.104, 0.3, 2.0):
+            s, c = Fraction(math.sin(chi)), Fraction(math.cos(chi))
+            want = sum(Fraction(math.factorial(n // 2) * math.factorial(p)
+                                * math.factorial(n - 2 * k),
+                                math.factorial(n) * math.factorial(k)
+                                * math.factorial(p - 2 * k) * math.factorial(n // 2 - k))
+                       * s ** (2 * k) * c ** (p - 2 * k) for k in range(p // 2 + 1))
+            assert correlation_closed_form(n, p, chi) == pytest.approx(
+                float(want), rel=1e-14, abs=1e-300)
+
+    def test_large_balanced_party_stays_finite(self):
+        # the coefficients alone leave the float range at p ~ n/2 ~ 10**4,
+        # while every term of the sum stays below 1
+        assert correlation_closed_form(20000, 10000, 0.0) == pytest.approx(1.0, abs=1e-12)
+        for chi in (0.005, 0.01, 1.0, 3.0):
+            value = correlation_closed_form(20000, 10000, chi)
+            assert math.isfinite(value) and abs(value) <= 1.0
+
     def test_odd_total_rejected(self):
         with pytest.raises(ValueError):
             correlation_closed_form(5, 2, 0.3)
@@ -440,6 +464,13 @@ class TestAnyPopulation:
                     correction_factor_g(m, n_plus, n - n_plus) * full, abs=1e-9)
                 assert got == pytest.approx(float(exact_g(m, n_plus, n - n_plus)) * full,
                                             abs=1e-14)
+
+    @pytest.mark.parametrize("n", [10**6, 10**9, 2 * 10**12])
+    def test_correction_factor_exact_at_large_n(self, n):
+        # log-gamma differences lose about N eps here: 9.3e-10, 3.0e-7 and 6.3e-3
+        for n_plus in (n // 2, n // 3):
+            want = float(exact_g(4, n_plus, n - n_plus))
+            assert correction_factor_g(4, n_plus, n - n_plus) == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("n_plus,n_minus,m", [
         (0, 1100, 40), (0, 1100, 60), (0, 1100, 61), (20, 44, 64), (2, 2, 3),

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fockbell import phase
 from fockbell.exact import _Bracket, sequence_probability
 from fockbell.model import ExperimentConfig, OutcomeSequence, PhaseDistribution
 from fockbell.phase import (
     ConditioningError,
     _chain_generator,
+    _condition,
+    _plus_probability,
     _sample_batch,
-    _sample_exact_grouped,
     next_outcome_probability,
     peak_statistics,
     phase_posterior,
@@ -18,6 +20,17 @@ from fockbell.phase import (
 )
 
 TWO_PI = 2 * math.pi
+
+
+def per_chain_chain_rule(kernel, angles, u):
+    """The chain rule without deduplication: one conditioned grid row per chain."""
+    g = np.ones((u.shape[0],) + kernel.shape)
+    etas = np.empty(u.shape, dtype=np.int8)
+    for j, phi in enumerate(angles):
+        eta = np.where(u[:, j] < _plus_probability(kernel, g, j, phi), 1, -1).astype(np.int8)
+        etas[:, j] = eta
+        g = _condition(kernel, g, eta, phi)
+    return etas
 
 
 class TestPosterior:
@@ -98,10 +111,11 @@ class TestSampling:
         b = sample_sequence(cfg, seed=42)
         assert a.etas == b.etas
 
-    def test_chains_independent_of_batching(self):
+    def test_chains_independent_of_batching(self, monkeypatch):
         cfg = ExperimentConfig(2, 2, (0.2, 0.2, 1.0, 1.0))
         whole = sample_sequences(cfg, 40, seed=9)
-        pieces = sample_sequences(cfg, 40, seed=9, batch_size=7)
+        monkeypatch.setattr(phase, "_BATCH_CELLS", 7 * math.prod(_Bracket.quantum(2, 2, 4).shape))
+        pieces = sample_sequences(cfg, 40, seed=9)
         np.testing.assert_array_equal(whole, pieces)
 
     def test_single_chain_matches_first_batch_row(self):
@@ -115,14 +129,35 @@ class TestSampling:
         rows = sample_sequences(cfg, 200, seed=1)
         assert np.all(rows[:, 0] == rows[:, 1])
 
-    def test_grouped_and_general_exact_paths_agree(self):
-        cfg = ExperimentConfig(3, 3, (0.3,) * 2 + (1.2,) * 4)
-        u = np.empty((64, 6))
-        for c in range(64):
-            u[c] = _chain_generator(11, c).random(6)
-        np.testing.assert_array_equal(
-            _sample_exact_grouped(cfg, u),
-            _sample_batch(_Bracket.quantum(3, 3, 6), cfg.angles, u))
+    @pytest.mark.parametrize("law", ["exact", "classical"])
+    @pytest.mark.parametrize("half,angles", [
+        (3, (0.3,) * 2 + (1.2,) * 4),
+        (4, tuple(np.random.default_rng(21).uniform(-np.pi, np.pi, 8))),
+    ], ids=["merging", "distinct"])
+    def test_deduplicated_rows_match_per_chain_rule(self, monkeypatch, law, half, angles):
+        m, count = len(angles), 64
+        kernel = _Bracket.for_law(law, half, half, m)
+        u = np.empty((count, m))
+        for c in range(count):
+            u[c] = _chain_generator(11, c).random(m)
+        live = []
+
+        def counting_condition(kernel, g, eta, phi):
+            live.append(g.shape[0])
+            return _condition(kernel, g, eta, phi)
+
+        monkeypatch.setattr(phase, "_condition", counting_condition)
+        got = _sample_batch(kernel, angles, u)
+        np.testing.assert_array_equal(got, per_chain_chain_rule(kernel, angles, u))
+        # a chain's count state after j results: its +1 count at each distinct angle
+        distinct = sorted(set(angles))
+        plus = np.stack([np.cumsum((got > 0) & (np.array(angles) == a), axis=1)
+                         for a in distinct], axis=2)
+        states = [len(np.unique(plus[:, j], axis=0)) for j in range(m)]
+        assert len(live) == m
+        assert all(rows <= n_states for rows, n_states in zip(live, states))
+        if len(distinct) < m:
+            assert max(live) < count
 
     def test_many_distinct_angles_takes_general_path(self):
         rng = np.random.default_rng(21)
