@@ -160,6 +160,12 @@ class _Bracket:
         """cos(Lambda) + eta cos(lambda - phi) over the grid."""
         return self.cos_big + eta * self.transverse(phi)
 
+    def cosine_products(self, rows: np.ndarray, mask=True) -> np.ndarray:
+        """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that
+        ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda)."""
+        cosines = np.cos(self.lam[None] - rows[:, :, None])
+        return np.where(np.asarray(mask)[..., None], cosines, 1.0).prod(axis=1)
+
     def columns(self, width: int):
         """The grid in slices of at most ``width`` lambda nodes; their cell sums add up
         to the whole grid's."""
@@ -219,8 +225,7 @@ def _product(kernel: _Bracket, rows) -> np.ndarray:
     T_0, exactly 0 for odd M and for |d| > N - M, where the node mean of the
     large weights would be round-off.
     """
-    rows = np.asarray(rows, dtype=float)
-    lam_mean = np.cos(kernel.lam[None] - rows[:, :, None]).prod(axis=1).mean(axis=1)
+    lam_mean = kernel.cosine_products(np.asarray(rows, dtype=float)).mean(axis=1)
     return kernel.moment0 * lam_mean + 0.0  # + 0.0 turns a vanishing -0.0 into 0.0
 
 

@@ -13,8 +13,15 @@ party's results are +1, so two routes cover every layout:
   the coefficients are weighted with the party's values.  Its cost is
   polynomial in the measurement count and independent of N.
 
-The tests hold both against the full outcome table of
-``exact.all_sequence_probabilities`` and the state-vector oracle.
+:func:`bell_value` takes a Bell quantity, a signed sum of such averages with
+one grid weight.  Where every party keeps the product of its results, each
+setting's factor is a cosine product in lambda alone and the whole quantity is
+one lambda mean of a product of blocks; a ``bchsh`` quantity with a plus-count
+party is the signed sum of its four averages.
+
+The tests hold these against the full outcome table of
+``exact.all_sequence_probabilities``, the state-vector oracle and the Bell
+quantities' cross terms summed one at a time.
 """
 from __future__ import annotations
 
@@ -30,9 +37,8 @@ from .model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
 
 __all__ = ["expectation", "bell_value", "semi_mesoscopic_value"]
 
-# One BCHSH block: setting variants (x, y), (x', y), (x, y') minus (x', y').
-_BLOCK_VARIANTS = ((0, 0), (1, 0), (0, 1), (1, 1))
-_BLOCK_SIGNS = (1.0, 1.0, 1.0, -1.0)
+# Sign of the setting pair (x_i, y_j) in one BCHSH block, at index 2i + j.
+_CHSH = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def _check_layout(config: ExperimentConfig, layout):
@@ -153,28 +159,6 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
     return constant * total / (k_big * k_lam)
 
 
-def _as_party_angles(value, count: int) -> list[float]:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        return [float(arr[0])] * count
-    if arr.size != count:
-        raise ValueError(f"setting needs 1 or {count} angles, got {arr.size}")
-    return [float(v) for v in arr]
-
-
-@lru_cache(maxsize=4)
-def _block_terms(blocks: int):
-    """Angle slot of every letter, one row per cross term (block 0 varying fastest), and signs."""
-    slots, signs = np.empty((1, 0), dtype=int), np.ones(1)
-    for b in range(blocks):
-        block = 4 * b + np.array([(vx, 2 + vy) for vx, vy in _BLOCK_VARIANTS])
-        rows = slots.shape[0]
-        slots = np.hstack([np.tile(slots, (4, 1)), np.repeat(block, rows, axis=0)])
-        signs = np.tile(signs, 4) * np.repeat(_BLOCK_SIGNS, rows)
-    slots.flags.writeable = signs.flags.writeable = False   # cached and shared
-    return slots, signs
-
-
 def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
                *, law: str = "exact") -> float:
     """Quantum average of the Bell quantity for a full angle assignment.
@@ -184,63 +168,63 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     spec : BellFunctionalSpec
         Inequality form and party layout.
     angles : sequence
-        Slot values.  For ``bchsh`` the four slots (a, a', b, b'), each a
-        scalar or a per-measurement vector; for ``double_bchsh`` eight
-        scalars (a, a', b, b', c, c', d, d'); for ``triple_bchsh`` twelve.
+        Four setting slots (x, x', y, y') per block: (a, a', b, b') for
+        ``bchsh``, eight for ``double_bchsh``, twelve for ``triple_bchsh``;
+        each a scalar or one angle per measurement of its party.
     n_plus, n_minus : int
         Populations; ``n_minus`` defaults to ``n_plus``.
     law : {"exact", "classical", "gaussian"}
-        The Gaussian route is available for the product forms only.
+        The Gaussian approximation needs product functionals, equal
+        populations and every particle measured.
 
-    The BCHSH combination is T(a,b) + T(a',b) + T(a,b') - T(a',b'); the
-    block-product forms multiply one such block per letter pair and scale by
-    2**(1 - blocks), every cross term reducing to one product correlation
-    over the concatenated angles.
+    With B blocks the value is 2**(1 - B) times the grid mean of the weight
+    times prod_b [X_b (Y_b + Y'_b) + X'_b (Y_b - Y'_b)], each factor a party's
+    value at one setting (B = 1: T(a,b) + T(a',b) + T(a,b') - T(a',b')).
+    For product parties every factor depends on lambda alone and the Lambda
+    mean is the kernel's exact moment, so identically vanishing products give
+    0.0.  A ``bchsh`` layout with any other party takes its four averages T
+    from :func:`expectation`.
     """
     if n_minus is None:
         n_minus = n_plus
-    n = n_plus + n_minus
-
-    if spec.form == "bchsh":
-        if law == "gaussian" and any(f.kind != "product" for _, f in spec.party_layout):
-            raise ValueError("gaussian law supports product functionals only")
-        (ca, fa), (cb, fb) = spec.party_layout
-        if len(angles) != 4:
-            raise ValueError("bchsh takes 4 setting slots (a, a', b, b')")
-        settings = [
-            _as_party_angles(angles[0], ca), _as_party_angles(angles[1], ca),
-            _as_party_angles(angles[2], cb), _as_party_angles(angles[3], cb),
-        ]
-
-        def term(xi: int, yi: int) -> float:
-            row = settings[xi] + settings[2 + yi]
-            if law == "gaussian":
-                return exact.gaussian_product_correlation(
-                    [(a, 1) for a in row])
-            config = ExperimentConfig(n_plus, n_minus, tuple(row))
-            return expectation(config, spec.party_layout, law=law)
-
-        return math.fsum(s * term(vx, vy)
-                         for (vx, vy), s in zip(_BLOCK_VARIANTS, _BLOCK_SIGNS))
-
-    # block-product forms: every letter is a product of results at one angle
-    if len(angles) != 4 * spec.block_count:
-        raise ValueError(f"{spec.form} takes {4 * spec.block_count} angle slots")
-    if spec.m != n:
-        raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
-    angles = np.asarray([float(a) for a in angles])
-    slots, signs = _block_terms(spec.block_count)
-    letters = angles[slots]
-    counts = [c for c, _ in spec.party_layout]
-    prefactor = 2.0 ** (1 - spec.block_count)
+    n, m, blocks, layout = n_plus + n_minus, spec.m, spec.block_count, spec.party_layout
+    if not all(float(p).is_integer() and p >= 0 for p in (n_plus, n_minus)) or m > n:
+        raise ValueError(f"populations ({n_plus}, {n_minus}) cannot supply {m} measurements")
+    if len(angles) != 4 * blocks:
+        raise ValueError(f"{spec.form} takes {4 * blocks} setting slots")
+    # slots 2p and 2p + 1 set party p: one row each, zero-padded and masked
+    counts = np.array([c for c, _ in layout for _ in range(2)])
+    rows, mask = np.zeros((len(counts), max(counts))), np.arange(max(counts)) < counts[:, None]
+    for row, value, count in zip(rows, angles, counts):
+        row[:count] = value  # one angle for the setting, or one per measurement
+    if not np.isfinite(rows).all():
+        raise ValueError(f"setting angles must be finite, got {angles}")
+    prefactor, lam_only = 2.0 ** (1 - blocks), all(f.kind == "product" for _, f in layout)
     if law == "gaussian":
-        if n_plus != n_minus:
-            raise ValueError("gaussian law assumes equal populations")
-        corr = [exact.gaussian_product_correlation(zip(row, counts)) for row in letters]
-    else:
-        rows = np.repeat(letters, counts, axis=1)
-        corr = exact._product(exact._Bracket.for_law(law, n_plus, n_minus, n), rows)
-    return prefactor * float(np.dot(signs, corr))
+        if not lam_only or n_plus != n_minus or m != n:
+            raise ValueError("gaussian law needs product functionals, equal populations and "
+                             f"every particle measured, got ({n_plus}, {n_minus}), M = {m}")
+        # the pair (x_i, y_j) of a block adds x_i + y_j to the sums of a cross
+        # term's angles (S1) and squares (S2), with the sign _CHSH[2i + j]
+        s1, s2 = (v.sum(axis=1).reshape(blocks, 2, 2) for v in (rows, rows * rows))
+        t1, t2 = (sum(np.ix_(*(s[:, 0, :, None] + s[:, 1, None, :]).reshape(blocks, 4)))
+                  for s in (s1, s2))
+        sign = math.prod(np.ix_(*[_CHSH] * blocks))
+        return prefactor * float((sign * np.exp(-0.5 * (t2 - t1 * t1 / m))).sum())
+    if not lam_only:
+        # a plus-count party, so bchsh: the signed sum of the averages T(x_i, y_j)
+        settings = [tuple(row[keep]) for row, keep in zip(rows, mask)]
+        return math.fsum(
+            s * expectation(ExperimentConfig(n_plus, n_minus, settings[i] + settings[2 + j]),
+                            layout, law=law)
+            for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
+    if spec.form != "bchsh" and m != n:
+        raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
+    kernel = exact._Bracket.for_law(law, n_plus, n_minus, m)
+    f = kernel.cosine_products(rows, mask)
+    x, xp, y, yp = f[0::4], f[1::4], f[2::4], f[3::4]
+    lam_mean = float((x * (y + yp) + xp * (y - yp)).prod(axis=0).mean())
+    return prefactor * kernel.moment0 * lam_mean + 0.0  # + 0.0: no -0.0
 
 
 def semi_mesoscopic_value(n: int, angles, *, law: str = "exact") -> float:

@@ -47,7 +47,8 @@ def _uniform_from_counter(seed: int, counter: int) -> float:
 
 @dataclass
 class OptimizationResult:
-    """Best value found, the full angle assignment reaching it, and bookkeeping."""
+    """Best value found, the full angle assignment reaching it, and bookkeeping;
+    ``converged`` is the winning restart's Nelder-Mead success flag (fan: True)."""
 
     q_max: float
     angles: np.ndarray

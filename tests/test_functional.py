@@ -178,21 +178,6 @@ class TestBellValue:
         vec = bell_value(spec, [[0.3, 0.3], [-0.1, -0.1], [0.9, 0.9], [1.4, 1.4]], 2, 2)
         assert vec == pytest.approx(flat, abs=1e-13)
 
-    def test_double_block_expansion_against_direct_sum(self):
-        # expand the two-block product by hand from correlation_e
-        spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
-        rng = np.random.default_rng(41)
-        angles = rng.uniform(-np.pi, np.pi, 8)
-        got = bell_value(spec, angles, 2, 2)
-        variants = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        signs = [1, 1, 1, -1]
-        total = 0.0
-        for (xa, yb), s1 in zip(variants, signs):
-            for (xc, yd), s2 in zip(variants, signs):
-                row = (angles[0 + xa], angles[2 + yb], angles[4 + xc], angles[6 + yd])
-                total += s1 * s2 * correlation_e(ExperimentConfig(2, 2, row))
-        assert got == pytest.approx(0.5 * total, abs=1e-12)
-
     @pytest.mark.parametrize("spec", [
         BellFunctionalSpec.triple_bchsh((1,) * 6),
         BellFunctionalSpec.double_bchsh((1, 2, 1, 2)),
@@ -219,6 +204,73 @@ class TestBellValue:
         with pytest.raises(ValueError):
             bell_value(spec, np.zeros(8), 3, 3)
 
+    @pytest.mark.parametrize("n_plus, n_minus", [(5, 5), (1, 3), (0, 0)])
+    def test_gaussian_law_requires_equal_populations_all_measured(self, n_plus, n_minus):
+        # M = 4 < N, unequal populations, and M > N = 0
+        with pytest.raises(ValueError):
+            bell_value(BellFunctionalSpec.bchsh(2, 2), [0.1, 0.4, -0.2, 0.3], n_plus, n_minus,
+                       law="gaussian")
+
+    @pytest.mark.parametrize("law", ["exact", "gaussian"])
+    @pytest.mark.parametrize("spec", [
+        BellFunctionalSpec.double_bchsh((1, 2, 1, 2)),
+        BellFunctionalSpec.triple_bchsh((1,) * 6),
+    ], ids=["double", "triple"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, spec, law, bad):
+        angles = np.linspace(-1.0, 1.0, 4 * spec.block_count)
+        angles[5] = bad
+        with pytest.raises(ValueError):
+            bell_value(spec, angles, 3, 3, law=law)
+
+    def test_bchsh_rejects_more_measurements_than_particles(self):
+        with pytest.raises(ValueError):
+            bell_value(BellFunctionalSpec.bchsh(3, 2, BINNED), [0.1, 0.4, -0.2, 0.3], 2, 2)
+
+    @pytest.mark.parametrize("law", ["exact", "classical", "gaussian"])
+    @pytest.mark.parametrize("spec", [
+        BellFunctionalSpec.double_bchsh((1, 2, 1, 2)),
+        BellFunctionalSpec.triple_bchsh((1, 2, 1, 1, 2, 1)),
+    ], ids=["double", "triple"])
+    def test_block_forms_expand_into_cross_terms(self, spec, law):
+        # the 4**blocks cross terms written out, each one product correlation of
+        # the letters' angles repeated by their counts
+        n = spec.m // 2
+        term = {
+            "exact": lambda row: correlation_e(ExperimentConfig(n, n, tuple(row))),
+            "classical": classical_product_correlation,
+            "gaussian": lambda row: exact.gaussian_product_correlation((a, 1) for a in row),
+        }[law]
+        counts = [c for c, _ in spec.party_layout]
+        variants = [(0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, -1.0)]
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            angles = rng.uniform(-np.pi, np.pi, 4 * spec.block_count)
+            total = 0.0
+            for choice in itertools.product(variants, repeat=spec.block_count):
+                row, sign = [], 1.0
+                for b, (vx, vy, s) in enumerate(choice):
+                    row += [angles[4 * b + vx]] * counts[2 * b]
+                    row += [angles[4 * b + 2 + vy]] * counts[2 * b + 1]
+                    sign *= s
+                total += sign * term(row)
+            want = 2.0 ** (1 - spec.block_count) * total
+            assert bell_value(spec, angles, n, n, law=law) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("law", ["exact", "classical"])
+    def test_bchsh_is_signed_sum_of_four_expectations(self, law):
+        # binned and pair-average parties, per-measurement vectors, M = 5 < N = 7
+        layout = ((3, BINNED_ZERO), (2, PartyFunctional.pair_average()))
+        spec = BellFunctionalSpec.bchsh(3, 2, BINNED_ZERO, PartyFunctional.pair_average())
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            a, ap, b, bp = (rng.uniform(-np.pi, np.pi, c) for c in (3, 3, 2, 2))
+            want = sum(s * expectation(ExperimentConfig(4, 3, tuple(x) + tuple(y)), layout,
+                                       law=law)
+                       for x, y, s in [(a, b, 1), (ap, b, 1), (a, bp, 1), (ap, bp, -1)])
+            assert bell_value(spec, [a, ap, b, bp], 4, 3, law=law) == pytest.approx(
+                want, abs=1e-12)
+
     def test_gaussian_law_close_to_exact_at_large_n(self):
         spec = BellFunctionalSpec.double_bchsh((25, 25, 25, 25))
         rng = np.random.default_rng(29)
@@ -226,21 +278,6 @@ class TestBellValue:
         exact_val = bell_value(spec, angles, 50, 50)
         gauss_val = bell_value(spec, angles, 50, 50, law="gaussian")
         assert gauss_val == pytest.approx(exact_val, abs=0.02)
-
-    def test_classical_block_form_expands_into_cross_terms(self):
-        # the 16 cross terms of letters (a, b, c, d) measured (1, 2, 1, 2) times
-        spec = BellFunctionalSpec.double_bchsh((1, 2, 1, 2))
-        angles = np.random.default_rng(47).uniform(-np.pi, np.pi, 8)
-        variants = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        signs = [1, 1, 1, -1]
-        total = 0.0
-        for (xa, yb), s1 in zip(variants, signs):
-            for (xc, yd), s2 in zip(variants, signs):
-                row = ([angles[0 + xa]] + [angles[2 + yb]] * 2
-                       + [angles[4 + xc]] + [angles[6 + yd]] * 2)
-                total += s1 * s2 * classical_product_correlation(row)
-        assert bell_value(spec, angles, 3, 3, law="classical") == pytest.approx(
-            0.5 * total, abs=1e-12)
 
     def test_classical_law_never_violates(self):
         spec = BellFunctionalSpec.bchsh(2, 2)
