@@ -32,6 +32,7 @@ from .model import (
 )
 from .optimizer import (
     OptimizationResult,
+    RestartRecord,
     double_letter_counts,
     maximize_fan,
     maximize_free,
@@ -66,6 +67,7 @@ __all__ = [
     "PartyFunctional",
     "PeakStats",
     "PhaseDistribution",
+    "RestartRecord",
     "SpinStateVector",
     "UnnormalizableConfigError",
     "all_sequence_probabilities",

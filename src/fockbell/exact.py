@@ -84,6 +84,16 @@ def _falling_ratio(n_plus: int, n_minus: int, m: int) -> np.ndarray:
         return np.exp(up + down[::-1] - np.log1p(-steps / n).sum())
 
 
+def _others(factors: np.ndarray, axis: int) -> np.ndarray:
+    """For each entry, the product of the other entries along ``axis``: prefix
+    times suffix products, so that a zero factor is never divided out."""
+    f = np.moveaxis(factors, axis, 0)
+    ones = np.ones_like(f[:1])
+    before = np.cumprod(np.concatenate([ones, f[:-1]]), axis=0)
+    after = np.cumprod(np.concatenate([ones, f[:0:-1]]), axis=0)[::-1]
+    return np.moveaxis(before * after, 0, axis)
+
+
 @dataclass(frozen=True)
 class _Bracket:
     """The (Lambda, lambda) quadrature behind every statistic in this package.
@@ -160,11 +170,20 @@ class _Bracket:
         """cos(Lambda) + eta cos(lambda - phi) over the grid."""
         return self.cos_big + eta * self.transverse(phi)
 
-    def cosine_products(self, rows: np.ndarray, mask=True) -> np.ndarray:
+    def cosine_products(self, rows: np.ndarray, mask=True, *, slopes: bool = False):
         """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that
-        ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda)."""
-        cosines = np.cos(self.lam[None] - rows[:, :, None])
-        return np.where(np.asarray(mask)[..., None], cosines, 1.0).prod(axis=1)
+        ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda).
+
+        With ``slopes`` also returns the derivative of each product by each of its
+        angles, sin(lambda - phi_j) times the other factors, shape (R, m, K_lambda);
+        the entries that ``mask`` drops hold no derivative.
+        """
+        transverse = self.lam[None] - rows[:, :, None]
+        cosines = np.where(np.asarray(mask)[..., None], np.cos(transverse), 1.0)
+        products = cosines.prod(axis=1)
+        if not slopes:
+            return products
+        return products, np.sin(transverse) * _others(cosines, axis=1)
 
     def columns(self, width: int):
         """The grid in slices of at most ``width`` lambda nodes; their cell sums add up

@@ -17,11 +17,14 @@ party's results are +1, so two routes cover every layout:
 one grid weight.  Where every party keeps the product of its results, each
 setting's factor is a cosine product in lambda alone and the whole quantity is
 one lambda mean of a product of blocks; a ``bchsh`` quantity with a plus-count
-party is the signed sum of its four averages.
+party is the signed sum of its four averages.  Every such quantity is a
+trigonometric polynomial in the angles, and :func:`_bell_gradient` gives its
+exact derivative by each of them, which the free-angle optimizer climbs.
 
 The tests hold these against the full outcome table of
-``exact.all_sequence_probabilities``, the state-vector oracle and the Bell
-quantities' cross terms summed one at a time.
+``exact.all_sequence_probabilities``, the state-vector oracle, the Bell
+quantities' cross terms summed one at a time and, for the derivatives,
+central differences.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ __all__ = ["expectation", "bell_value", "semi_mesoscopic_value"]
 
 # Sign of the setting pair (x_i, y_j) in one BCHSH block, at index 2i + j.
 _CHSH = np.array([1.0, 1.0, 1.0, -1.0])
+# Which pairs 2i + j contain the settings x, x', y, y' of a block.
+_MEMBERS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
 
 
 def _check_layout(config: ExperimentConfig, layout):
@@ -111,6 +116,13 @@ def _party_value(kernel: exact._Bracket, angles, func: PartyFunctional) -> np.nd
     return (values @ coeffs.reshape(values.size, -1)).reshape(coeffs.shape[1:])
 
 
+def _coefficient_columns(kernel: exact._Bracket, m: int):
+    """The grid in lambda slices for plus-count parties of m measurements: their
+    coefficients take about 4(m + 1) floats per grid cell, so the slices keep
+    them near the table budget."""
+    return kernel.columns(max(1, exact._TREE_BUDGET // (4 * (m + 1) * kernel.shape[0])))
+
+
 def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> float:
     """Average of the product of party functional values.
 
@@ -144,19 +156,74 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
         return constant * exact.classical_product_correlation(config.angles)
 
     kernel = exact._Bracket.for_law(law, config.n_plus, config.n_minus, config.m)
-    k_big, k_lam = kernel.shape
-    # the plus-count coefficients take about 4(M + 1) floats per grid cell;
-    # slicing the lambda axis keeps them near the table budget
-    width = max(1, exact._TREE_BUDGET // (4 * (config.m + 1) * k_big))
     total = 0.0
-    for part in kernel.columns(width):
+    for part in _coefficient_columns(kernel, config.m):
         integrand = part.weight(config.m)
         start = 0
         for count, func in layout:
             integrand = integrand * _party_value(part, config.angles[start:start + count], func)
             start += count
         total += float(integrand.sum())
-    return constant * total / (k_big * k_lam)
+    return constant * total / math.prod(kernel.shape)
+
+
+def _is_product(spec: BellFunctionalSpec) -> bool:
+    return all(f.kind == "product" for _, f in spec.party_layout)
+
+
+def _setting_rows(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int, law: str):
+    """Validated setting rows of :func:`bell_value` and :func:`_bell_gradient`.
+
+    Slots 2p and 2p + 1 set party p: one row each, zero-padded, with the mask
+    of the party's measurements.
+    """
+    n, m, blocks, layout = n_plus + n_minus, spec.m, spec.block_count, spec.party_layout
+    if not all(float(p).is_integer() and p >= 0 for p in (n_plus, n_minus)) or m > n:
+        raise ValueError(f"populations ({n_plus}, {n_minus}) cannot supply {m} measurements")
+    if len(angles) != 4 * blocks:
+        raise ValueError(f"{spec.form} takes {4 * blocks} setting slots")
+    counts = np.array([c for c, _ in layout for _ in range(2)])
+    rows, mask = np.zeros((len(counts), max(counts))), np.arange(max(counts)) < counts[:, None]
+    for row, value, count in zip(rows, angles, counts):
+        row[:count] = value  # one angle for the setting, or one per measurement
+    if not np.isfinite(rows).all():
+        raise ValueError(f"setting angles must be finite, got {angles}")
+    if law not in ("exact", "classical", "gaussian"):
+        raise ValueError(f"unknown probability law {law!r}")
+    if law == "gaussian" and (not _is_product(spec) or n_plus != n_minus or m != n):
+        raise ValueError("gaussian law needs product functionals, equal populations and "
+                         f"every particle measured, got ({n_plus}, {n_minus}), M = {m}")
+    if spec.form != "bchsh" and m != n:
+        raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
+    return rows, mask
+
+
+def _blocks(f: np.ndarray) -> np.ndarray:
+    """X (Y + Y') + X' (Y - Y') for each block of the setting factors f, slot 4b + k
+    along axis 0 with k over (X, X', Y, Y')."""
+    x, xp, y, yp = f[0::4], f[1::4], f[2::4], f[3::4]
+    return x * (y + yp) + xp * (y - yp)
+
+
+def _block_slopes(f: np.ndarray) -> np.ndarray:
+    """Derivative of the product of the blocks by each setting factor, shaped as f."""
+    x, xp, y, yp = f[0::4], f[1::4], f[2::4], f[3::4]
+    own = np.stack([y + yp, y - yp, x + xp, x - xp], axis=1)
+    return (own * exact._others(_blocks(f), axis=0)[:, None]).reshape(f.shape)
+
+
+def _gaussian_terms(rows: np.ndarray, m: int, blocks: int):
+    """The signed cross terms of the Gaussian law, (4,) * blocks, and their angle sums.
+
+    The pair (x_i, y_j) of a block adds x_i + y_j to the sums of a cross term's
+    angles (t1) and squares (t2), with the sign _CHSH[2i + j]; the term is
+    exp(-(t2 - t1**2 / M) / 2).
+    """
+    s1, s2 = (v.sum(axis=1).reshape(blocks, 2, 2) for v in (rows, rows * rows))
+    t1, t2 = (sum(np.ix_(*(s[:, 0, :, None] + s[:, 1, None, :]).reshape(blocks, 4)))
+              for s in (s1, s2))
+    sign = math.prod(np.ix_(*[_CHSH] * blocks))
+    return sign * np.exp(-0.5 * (t2 - t1 * t1 / m)), t1
 
 
 def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
@@ -187,44 +254,92 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     """
     if n_minus is None:
         n_minus = n_plus
-    n, m, blocks, layout = n_plus + n_minus, spec.m, spec.block_count, spec.party_layout
-    if not all(float(p).is_integer() and p >= 0 for p in (n_plus, n_minus)) or m > n:
-        raise ValueError(f"populations ({n_plus}, {n_minus}) cannot supply {m} measurements")
-    if len(angles) != 4 * blocks:
-        raise ValueError(f"{spec.form} takes {4 * blocks} setting slots")
-    # slots 2p and 2p + 1 set party p: one row each, zero-padded and masked
-    counts = np.array([c for c, _ in layout for _ in range(2)])
-    rows, mask = np.zeros((len(counts), max(counts))), np.arange(max(counts)) < counts[:, None]
-    for row, value, count in zip(rows, angles, counts):
-        row[:count] = value  # one angle for the setting, or one per measurement
-    if not np.isfinite(rows).all():
-        raise ValueError(f"setting angles must be finite, got {angles}")
-    prefactor, lam_only = 2.0 ** (1 - blocks), all(f.kind == "product" for _, f in layout)
+    rows, mask = _setting_rows(spec, angles, n_plus, n_minus, law)
+    prefactor = 2.0 ** (1 - spec.block_count)
     if law == "gaussian":
-        if not lam_only or n_plus != n_minus or m != n:
-            raise ValueError("gaussian law needs product functionals, equal populations and "
-                             f"every particle measured, got ({n_plus}, {n_minus}), M = {m}")
-        # the pair (x_i, y_j) of a block adds x_i + y_j to the sums of a cross
-        # term's angles (S1) and squares (S2), with the sign _CHSH[2i + j]
-        s1, s2 = (v.sum(axis=1).reshape(blocks, 2, 2) for v in (rows, rows * rows))
-        t1, t2 = (sum(np.ix_(*(s[:, 0, :, None] + s[:, 1, None, :]).reshape(blocks, 4)))
-                  for s in (s1, s2))
-        sign = math.prod(np.ix_(*[_CHSH] * blocks))
-        return prefactor * float((sign * np.exp(-0.5 * (t2 - t1 * t1 / m))).sum())
-    if not lam_only:
+        return prefactor * float(_gaussian_terms(rows, spec.m, spec.block_count)[0].sum())
+    if not _is_product(spec):
         # a plus-count party, so bchsh: the signed sum of the averages T(x_i, y_j)
         settings = [tuple(row[keep]) for row, keep in zip(rows, mask)]
         return math.fsum(
             s * expectation(ExperimentConfig(n_plus, n_minus, settings[i] + settings[2 + j]),
-                            layout, law=law)
+                            spec.party_layout, law=law)
             for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
-    if spec.form != "bchsh" and m != n:
-        raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
-    kernel = exact._Bracket.for_law(law, n_plus, n_minus, m)
-    f = kernel.cosine_products(rows, mask)
-    x, xp, y, yp = f[0::4], f[1::4], f[2::4], f[3::4]
-    lam_mean = float((x * (y + yp) + xp * (y - yp)).prod(axis=0).mean())
+    kernel = exact._Bracket.for_law(law, n_plus, n_minus, spec.m)
+    lam_mean = float(_blocks(kernel.cosine_products(rows, mask)).prod(axis=0).mean())
     return prefactor * kernel.moment0 * lam_mean + 0.0  # + 0.0: no -0.0
+
+
+def _party_slopes(kernel: exact._Bracket, angles, func: PartyFunctional):
+    """Derivative of :func:`_party_value` by any one of the party's angles equal to u,
+    over the grid, keyed by each distinct u; equal angles share one expansion.
+
+    With e'_j the plus-count coefficients after taking one result at u away, the
+    derivative is sin(lambda - u) / 2 times sum_j e'_j (f(j + 1) - f(j)).
+    """
+    counts = Counter(angles)
+    runs = {phi: _run_terms(kernel, phi, total) for phi, total in counts.items()}
+    steps = np.diff(func.values_table(len(angles)))
+    slopes = {}
+    for phi, total in counts.items():
+        coeffs = _run_terms(kernel, phi, total - 1)
+        for other, terms in runs.items():
+            if other != phi:
+                coeffs = _convolve(coeffs, terms)
+        weighted = (steps @ coeffs.reshape(steps.size, -1)).reshape(coeffs.shape[1:])
+        slopes[phi] = 0.5 * np.sin(kernel.lam - phi) * weighted
+    return slopes
+
+
+def _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law) -> np.ndarray:
+    """d bell_value / d phi for every measurement of a bchsh layout with a plus-count
+    party, shaped as ``rows``: the one-block product of the four party values."""
+    kernel = exact._Bracket.for_law(law, n_plus, n_minus, spec.m)
+    settings = [(row[keep], spec.party_layout[s // 2][1])
+                for s, (row, keep) in enumerate(zip(rows, mask))]
+    out = np.zeros(rows.shape)
+    for part in _coefficient_columns(kernel, spec.m):
+        f = np.array([_party_value(part, a, func) for a, func in settings])
+        by_value = part.weight(spec.m) * _block_slopes(f)
+        for s, (a, func) in enumerate(settings):
+            totals = {phi: float((by_value[s] * slope).sum())
+                      for phi, slope in _party_slopes(part, a, func).items()}
+            out[s, :len(a)] += [totals[phi] for phi in a]
+    return out / math.prod(kernel.shape)
+
+
+def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
+                   *, law: str = "exact") -> np.ndarray:
+    """Derivative of :func:`bell_value` by every angle, flattened in slot order: one
+    entry for a slot given as one angle, one per measurement for a vector slot.
+
+    Product layouts differentiate the block product through each setting's
+    cosine product, the Gaussian law each cross term's exponent, and plus-count
+    parties their coefficient expansion (see :func:`_party_slopes`).
+    """
+    if n_minus is None:
+        n_minus = n_plus
+    rows, mask = _setting_rows(spec, angles, n_plus, n_minus, law)
+    m, blocks = spec.m, spec.block_count
+    prefactor = 2.0 ** (1 - blocks)
+    if law == "gaussian":
+        # d term / d phi = term (t1 / M - phi) for every angle phi of the term
+        terms, t1 = _gaussian_terms(rows, m, blocks)
+        axes = [tuple(a for a in range(blocks) if a != b) for b in range(blocks)]
+        by_pair = np.array([[(terms * t1).sum(axis=ax), terms.sum(axis=ax)] for ax in axes])
+        # the setting pairs (x_i, y_j) at index 2i + j that contain x, x', y, y'
+        sums = np.einsum("kp,bvp->bkv", _MEMBERS, by_pair).reshape(4 * blocks, 2)
+        slopes = prefactor * (sums[:, :1] / m - sums[:, 1:] * rows)
+    elif _is_product(spec):
+        kernel = exact._Bracket.for_law(law, n_plus, n_minus, m)
+        f, by_angle = kernel.cosine_products(rows, mask, slopes=True)
+        by_value = _block_slopes(f) * (prefactor * kernel.moment0 / kernel.shape[1])
+        slopes = np.einsum("rk,rjk->rj", by_value, by_angle)
+    else:
+        slopes = _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law)
+    slopes = np.where(mask, slopes, 0.0)
+    return np.concatenate([[row.sum()] if np.size(value) == 1 else row[:np.size(value)]
+                           for row, value in zip(slopes, angles)])
 
 
 def semi_mesoscopic_value(n: int, angles, *, law: str = "exact") -> float:

@@ -2,9 +2,9 @@
 
 Two modes: a one-parameter fan search for product BCHSH (where the closed
 form makes very large particle numbers cheap), and a multi-start
-downhill-simplex search over all free angle slots.  Restart start points
-come from a counter-based splitmix stream, so every result is reproducible
-from the seed alone.
+quasi-Newton (BFGS) search over all free angle slots on the analytic
+gradient of the Bell value.  Restart start points come from a counter-based
+splitmix stream, so every result is reproducible from the seed alone.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .exact import _closed_form_sum, correlation_closed_form
-from .functional import bell_value
+from .functional import _bell_gradient, bell_value
 from .model import BellFunctionalSpec, FanAngles
 
 __all__ = [
     "OptimizationResult",
+    "RestartRecord",
     "maximize_fan",
     "maximize_free",
     "scan_qmax_vs_n",
@@ -30,6 +31,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MAX_FREE_SLOTS = 16
+_GTOL = 1e-8  # largest gradient component at which a free-search restart stops
+# A restart that ends with no gradient component above this counts as converged.
+# At gtol the line search often runs into the values' round-off first and stops
+# with components of a few times 1e-8, at the optimum to round-off.
+_CONVERGED_GRADIENT = 1e-6
 
 
 def _uniform_from_counter(seed: int, counter: int) -> float:
@@ -45,10 +51,27 @@ def _uniform_from_counter(seed: int, counter: int) -> float:
     return (z >> 11) / float(1 << 53)
 
 
+@dataclass(frozen=True)
+class RestartRecord:
+    """One restart of :func:`maximize_free`: the value it ended at, its value and
+    gradient evaluation counts, the largest final gradient component, and
+    whether that is at most 1e-6."""
+
+    value: float
+    nfev: int
+    njev: int
+    gradient_norm: float
+    converged: bool
+
+
 @dataclass
 class OptimizationResult:
-    """Best value found, the full angle assignment reaching it, and bookkeeping;
-    ``converged`` is the winning restart's Nelder-Mead success flag (fan: True)."""
+    """Best value found, the full angle assignment reaching it, and bookkeeping.
+
+    ``converged`` says whether no component of the winning restart's final
+    gradient exceeds 1e-6 (fan: True); ``restarts`` holds one record per
+    restart of the free search, in restart order (fan: empty).
+    """
 
     q_max: float
     angles: np.ndarray
@@ -56,6 +79,7 @@ class OptimizationResult:
     restarts_used: int
     converged: bool
     spec: BellFunctionalSpec = field(repr=False, default=None)
+    restarts: tuple[RestartRecord, ...] = field(repr=False, default=())
 
 
 def _require_product_bchsh(spec: BellFunctionalSpec) -> tuple[int, int]:
@@ -123,29 +147,37 @@ def _free_slot_count(spec: BellFunctionalSpec, per_measurement: bool) -> int:
 
 
 def _slot_objective(spec, n_plus, n_minus, law, per_measurement):
+    """The Bell value and its gradient as functions of the flat slot vector."""
     if spec.form == "bchsh" and per_measurement:
         (ca, _), (cb, _) = spec.party_layout
         cuts = np.cumsum([ca, ca, cb])
 
-        def value(slots: np.ndarray) -> float:
-            a, ap, b, bp = np.split(slots, cuts)
-            return bell_value(spec, [a, ap, b, bp], n_plus, n_minus, law=law)
+        def settings(slots: np.ndarray) -> list:
+            return np.split(slots, cuts)
     else:
-        def value(slots: np.ndarray) -> float:
-            return bell_value(spec, slots, n_plus, n_minus, law=law)
-    return value
+        def settings(slots: np.ndarray) -> np.ndarray:
+            return slots
+
+    def value(slots: np.ndarray) -> float:
+        return bell_value(spec, settings(slots), n_plus, n_minus, law=law)
+
+    def gradient(slots: np.ndarray) -> np.ndarray:
+        return _bell_gradient(spec, settings(slots), n_plus, n_minus, law=law)
+    return value, gradient
 
 
 def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = None, *,
                   restarts: int = 64, seed: int = 0, law: str = "exact",
                   per_measurement: bool = False, start_scale: float | None = None,
-                  xatol: float = 1e-9, maxiter: int | None = None) -> OptimizationResult:
+                  maxiter: int | None = None) -> OptimizationResult:
     """Maximize the Bell quantity over every free angle slot.
 
-    Multi-start Nelder-Mead (reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2; stop when the simplex diameter falls under ``xatol``).  The
-    first slot is pinned to 0, which costs nothing by shift covariance.  The
-    best restart wins, ties broken toward the lowest restart index.
+    Multi-start BFGS on the analytic gradient; a restart stops when the
+    largest gradient component falls under 1e-8, when the line search can
+    make no more progress, or after ``maxiter`` BFGS iterations (default 200
+    per free slot), and leaves a :class:`RestartRecord`.  The first slot is
+    pinned to 0, which costs nothing by shift covariance.  The best restart
+    wins, ties broken toward the lowest restart index.
 
     In the gaussian law the optimum shrinks like 1/sqrt(n), so restart boxes
     are scaled accordingly unless ``start_scale`` is given.
@@ -157,44 +189,48 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
         raise ValueError(f"{nslots} angle slots exceed the supported {_MAX_FREE_SLOTS}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    value = _slot_objective(spec, n_plus, n_minus, law, per_measurement)
+    value, gradient = _slot_objective(spec, n_plus, n_minus, law, per_measurement)
     if start_scale is None:
         if law == "gaussian":
             start_scale = math.pi * math.sqrt(len(spec.party_layout) / (n_plus + n_minus))
         else:
             start_scale = math.pi
     ndim = nslots - 1
-    options = {
-        "xatol": xatol,
-        "fatol": 1e-12,
-        "maxiter": maxiter or 600 * max(ndim, 1),
-        "maxfev": maxiter or 600 * max(ndim, 1),
-    }
+    options = {"gtol": _GTOL, "maxiter": maxiter or 200 * ndim}
 
     def negative(x: np.ndarray) -> float:
         return -value(np.concatenate([[0.0], x]))
+
+    def negative_slope(x: np.ndarray) -> np.ndarray:
+        return -gradient(np.concatenate([[0.0], x]))[1:]
 
     def run_restart(index: int):
         x0 = np.array([
             (2.0 * _uniform_from_counter(seed, index * ndim + s) - 1.0) * start_scale
             for s in range(ndim)
         ])
-        res = minimize(negative, x0, method="Nelder-Mead", options=options)
-        return -float(res.fun), res.x, bool(res.success)
+        res = minimize(negative, x0, jac=negative_slope, method="BFGS", options=options)
+        # scipy's success flag reports that stall (precision loss) as a failure,
+        # so convergence is read off the final gradient
+        norm = float(np.max(np.abs(res.jac)))
+        record = RestartRecord(value=-float(res.fun), nfev=int(res.nfev), njev=int(res.njev),
+                               gradient_norm=norm, converged=norm <= _CONVERGED_GRADIENT)
+        return record, res.x
 
-    best_val, best_x, best_ok = -math.inf, None, False
+    records, best, best_x = [], None, None
     # restarts run in index order; strict > keeps the lowest-index winner
-    for val, x, ok in map(run_restart, range(restarts)):
-        if val > best_val:
-            best_val, best_x, best_ok = val, x, ok
-    angles = np.concatenate([[0.0], best_x])
+    for record, x in map(run_restart, range(restarts)):
+        records.append(record)
+        if best is None or record.value > best.value:
+            best, best_x = record, x
     return OptimizationResult(
-        q_max=best_val,
-        angles=angles,
+        q_max=best.value,
+        angles=np.concatenate([[0.0], best_x]),
         chi=None,
         restarts_used=restarts,
-        converged=best_ok,
+        converged=best.converged,
         spec=spec,
+        restarts=tuple(records),
     )
 
 

@@ -453,7 +453,7 @@ class TestAnyPopulation:
 
     @pytest.mark.parametrize("n", [10, 1000, 10**4, 10**6])
     def test_partial_correlation_is_g_times_full(self, n):
-        # correction_factor_g works in log-gamma space and loses about N eps
+        # correction_factor_g takes the kernel's falling-factorial ratio and is exact to 1e-14
         rng = np.random.default_rng(n)
         for m in (2, 4, 6, 8):
             for n_plus in (n // 2, n // 3):

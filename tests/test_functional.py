@@ -12,7 +12,7 @@ from fockbell.exact import (
     correlation_closed_form,
     correlation_e,
 )
-from fockbell.functional import bell_value, expectation, semi_mesoscopic_value
+from fockbell.functional import _bell_gradient, bell_value, expectation, semi_mesoscopic_value
 from fockbell.model import (
     BellFunctionalSpec,
     ExperimentConfig,
@@ -305,6 +305,84 @@ class TestBellValue:
             for chi in np.linspace(0.01, np.pi / 2, 40)
         )
         assert worst <= 2.0 + 1e-9
+
+
+def central_differences(spec, angles, n_plus, n_minus, law, h=1e-5):
+    """d bell_value / d angle by central differences, flattened as _bell_gradient is."""
+    flat = np.concatenate([np.ravel(a) for a in angles]).astype(float)
+    cuts = np.cumsum([np.size(a) for a in angles])[:-1]
+
+    def value(x):
+        slots = [p[0] if np.ndim(a) == 0 else p for p, a in zip(np.split(x, cuts), angles)]
+        return bell_value(spec, slots, n_plus, n_minus, law=law)
+
+    out = np.empty_like(flat)
+    for i in range(flat.size):
+        step = np.zeros_like(flat)
+        step[i] = h
+        out[i] = (value(flat + step) - value(flat - step)) / (2 * h)
+    return out
+
+
+class TestBellGradient:
+    @pytest.mark.parametrize("law", ["exact", "classical", "gaussian"])
+    @pytest.mark.parametrize("spec", [
+        BellFunctionalSpec.bchsh(2, 4),
+        BellFunctionalSpec.double_bchsh((1, 2, 1, 2)),
+        BellFunctionalSpec.triple_bchsh((1, 2, 1, 1, 2, 1)),
+    ], ids=["bchsh", "double", "triple"])
+    def test_every_form_and_law(self, spec, law):
+        rng = np.random.default_rng(83)
+        n = spec.m // 2
+        for _ in range(3):
+            angles = rng.uniform(-np.pi, np.pi, 4 * spec.block_count)
+            np.testing.assert_allclose(_bell_gradient(spec, angles, n, n, law=law),
+                                       central_differences(spec, angles, n, n, law),
+                                       rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("law, n_plus, n_minus", [
+        ("exact", 5, 3), ("exact", 2, 6), ("classical", 4, 4), ("gaussian", 3, 3)])
+    def test_per_measurement_vectors(self, law, n_plus, n_minus):
+        # repeated and distinct angles within a slot; M = 6 < N = 8 on the grid laws
+        spec = BellFunctionalSpec.bchsh(2, 4)
+        angles = [np.array([0.3, -1.2]), np.array([0.7, 0.7]),
+                  np.array([1.1, -0.4, 1.1, 2.0]), 0.5]
+        np.testing.assert_allclose(_bell_gradient(spec, angles, n_plus, n_minus, law=law),
+                                   central_differences(spec, angles, n_plus, n_minus, law),
+                                   rtol=0, atol=1e-7)
+
+    def test_block_form_at_unequal_populations_is_flat(self):
+        # every letter product vanishes identically, so does every slope
+        spec = BellFunctionalSpec.double_bchsh((2, 1, 2, 1))
+        angles = np.random.default_rng(89).uniform(-np.pi, np.pi, 8)
+        assert not _bell_gradient(spec, angles, 2, 4).any()
+
+    @pytest.mark.parametrize("law", ["exact", "classical"])
+    @pytest.mark.parametrize("alice, bob", [
+        ((3, PartyFunctional.binned_sign("plus_one")), (2, PartyFunctional.binned_sign("zero"))),
+        ((2, PartyFunctional.binned_sign("random")), (2, PartyFunctional.pair_average())),
+        ((2, PartyFunctional.pair_average()), (3, PRODUCT)),
+        ((4, BINNED), (1, PRODUCT)),
+        ((1, BINNED_ZERO), (3, BINNED)),
+    ], ids=["binned", "random-pair", "pair-product", "semi", "one-result"])
+    def test_plus_count_parties(self, alice, bob, law):
+        # a one-result party's slope takes the expansion of zero results; M = 5 or 4 < N = 7
+        spec = BellFunctionalSpec.bchsh(alice[0], bob[0], alice[1], bob[1])
+        rng = np.random.default_rng(97)
+        a = rng.uniform(-np.pi, np.pi, alice[0])
+        a[-1] = a[0]
+        angles = [a, 0.4, rng.uniform(-np.pi, np.pi, bob[0]), -1.3]
+        np.testing.assert_allclose(_bell_gradient(spec, angles, 4, 3, law=law),
+                                   central_differences(spec, angles, 4, 3, law),
+                                   rtol=0, atol=1e-7)
+
+    def test_grid_slices_agree(self, monkeypatch):
+        # a budget small enough to differentiate one lambda node at a time
+        spec = BellFunctionalSpec.bchsh(3, 2, BINNED, PartyFunctional.pair_average())
+        angles = [np.array([0.2, 0.2, -0.7]), 1.3, np.array([0.4, 2.0]), -0.5]
+        whole = _bell_gradient(spec, angles, 4, 3)
+        monkeypatch.setattr(exact, "_TREE_BUDGET", 1)
+        np.testing.assert_allclose(_bell_gradient(spec, angles, 4, 3), whole, rtol=0, atol=1e-15)
 
 
 class TestSemiMesoscopic:

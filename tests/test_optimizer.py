@@ -139,6 +139,24 @@ class TestMaximizeFree:
             worst = max(worst, abs(grad))
         assert worst < 1e-4
 
+    def test_restart_records(self):
+        spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
+        res = maximize_free(spec, 2, 2, restarts=6, seed=4)
+        values = [r.value for r in res.restarts]
+        winner = res.restarts[values.index(max(values))]
+        assert len(res.restarts) == res.restarts_used == 6
+        assert res.q_max == winner.value
+        assert res.converged == winner.converged
+        assert all(r.nfev >= r.njev >= 1 for r in res.restarts)
+        assert all(r.converged == (r.gradient_norm <= 1e-6) for r in res.restarts)
+        assert res.converged
+
+    def test_iteration_cap_leaves_restart_unconverged(self):
+        spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
+        res = maximize_free(spec, 2, 2, restarts=1, seed=4, maxiter=1)
+        assert not res.converged
+        assert res.restarts[0].gradient_norm > 1e-6
+
     def test_slot_cap(self):
         spec = BellFunctionalSpec.bchsh(5, 5)
         with pytest.raises(ValueError):
