@@ -211,9 +211,22 @@ def cmd_sample(args) -> int:
     if args.count < 1:
         raise ConfigError("count must be positive")
     etas = phase.sample_sequences(config, args.count, args.seed, mode=args.mode)
-    lines = [",".join(str(int(e)) for e in row) for row in etas]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_outcome_rows(etas), args.out)
     return EXIT_OK
+
+
+def _outcome_rows(etas: np.ndarray) -> str:
+    """One line per row, results joined by commas: each cell is "-1," with its
+    "-" dropped where the result is +1 and each row's last "," made a newline."""
+    cells = np.empty(etas.shape + (3,), dtype=np.uint8)
+    cells[...] = np.frombuffer(b"-1,", dtype=np.uint8)
+    np.multiply(etas < 0, ord("-"), out=cells[..., 0], casting="unsafe")
+    cells[:, -1, 2] = ord("\n")
+    # drop each copy as soon as the next exists: at most two are alive at once
+    text = cells.tobytes()
+    del cells
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def cmd_phase(args) -> int:
@@ -245,7 +258,7 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError("n-max must lie between 2 and 10")
     if args.angle_sets < 1:
         raise ConfigError("angle-sets must be positive")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.seed % 2**64)
     worst = 0.0
     worst_case = None
     report = []
@@ -293,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qmax", help="maximize a Bell quantity over angles")
     p.add_argument("spec", help="JSON with form, n and layout options")
     p.add_argument("--mode", choices=("fan", "free"), default="fan")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="taken modulo 2**64")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_qmax)
@@ -304,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--n-step", type=int, default=2)
     p.add_argument("--mode", choices=("fan", "free"), default="fan")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="taken modulo 2**64")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sample", help="draw outcome sequences from the chain rule")
     p.add_argument("config", help="JSON with n_plus, n_minus, angles")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="taken modulo 2**64")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--mode", choices=("exact", "classical"), default="exact")
     p.add_argument("--out", default=None)
@@ -325,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="sweep the state-vector oracle against the formulas")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="taken modulo 2**64")
     p.add_argument("--angle-sets", type=int, default=50)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_check)

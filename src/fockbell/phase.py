@@ -35,11 +35,6 @@ class ConditioningError(ValueError):
     """The conditioning history has probability zero."""
 
 
-def _chain_generator(seed: int, chain: int) -> np.random.Generator:
-    # counter-based keying: stream is a pure function of (seed, chain index)
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chain]))
-
-
 def phase_posterior(angles, outcomes, resolution: int = DEFAULT_RESOLUTION) -> PhaseDistribution:
     """Posterior phase density after a history of measurements.
 
@@ -86,14 +81,73 @@ def next_outcome_probability(config: ExperimentConfig, history, *,
 # Batched sequential sampling.  The law is symmetric in the results taken at
 # one angle, so a chain's next conditional depends on its history only through
 # its (+1, -1) counts per distinct angle: chains sharing those counts share one
-# renormalized grid row.  Chain i consumes the Philox stream keyed by (seed, i)
-# and depends only on the chains before it in its batch, so the count never
+# renormalized grid row.  Chain i consumes NumPy's Philox4x64-10 stream keyed
+# by (seed mod 2**64, i), computed per batch for all its chains at once; it
+# depends only on the chains before it in its batch, so the count never
 # changes it.
 # ---------------------------------------------------------------------------
 
 # grid cells per batch of chains, at one row per chain: 2(M + 1)(M + 2) per row,
 # 2(M + 2) if classical; a batch never holds more rows than chains
 _BATCH_CELLS = 4_000_000
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhi(a: int, b: np.ndarray) -> np.ndarray:
+    """High 64-bit words of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    low = b & _LOW32
+    high = b >> _SHIFT32
+    carry = high * a_lo
+    high *= a_hi
+    high += carry >> _SHIFT32
+    carry &= _LOW32
+    product = low * a_lo
+    product >>= _SHIFT32
+    carry += product
+    low *= a_hi
+    high += low >> _SHIFT32
+    low &= _LOW32
+    carry += low
+    carry >>= _SHIFT32
+    high += carry
+    return high
+
+
+def _philox_uniforms(seed: int, start: int, stop: int, m: int) -> np.ndarray:
+    """The first ``m`` doubles of each chain's stream, chains ``start``..``stop - 1``.
+
+    Row i equals ``Generator(Philox(key=k)).random(m)`` for the uint64 key
+    k = (seed mod 2**64, start + i): block b of a stream is Philox4x64-10 of the
+    counter (b + 1, 0, 0, 0), since NumPy increments the counter before each
+    block, and each double is the top 53 bits of one word.  The rounds work in
+    place, so the words and one product's temporaries are all they hold.
+    """
+    blocks = -(-m // 4)
+    words = np.zeros((stop - start, blocks, 4), dtype=np.uint64)
+    # each round writes its new x0, x1, x2, x3 over the old x1, x2, x3, x0, so
+    # ten rounds rotate the slots by two: start two slots back to end in order
+    x0, x1, x2, x3 = (words[..., w] for w in (2, 3, 0, 1))
+    x0[...] = np.arange(1, blocks + 1, dtype=np.uint64)
+    k0 = seed % 2**64
+    k1 = np.arange(start, stop, dtype=np.uint64)[:, None]
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_WEYL[0]) % 2**64
+            k1 += np.uint64(_PHILOX_WEYL[1])
+        x3 ^= _mulhi(_PHILOX_MULTIPLIERS[0], x0)
+        x3 ^= k1
+        x0 *= np.uint64(_PHILOX_MULTIPLIERS[0])
+        x1 ^= _mulhi(_PHILOX_MULTIPLIERS[1], x2)
+        x1 ^= np.uint64(k0)
+        x2 *= np.uint64(_PHILOX_MULTIPLIERS[1])
+        x0, x1, x2, x3 = x1, x2, x3, x0
+    words >>= np.uint64(11)
+    return words.reshape(stop - start, 4 * blocks)[:, :m] * 2.0**-53
 
 
 def _plus_probability(kernel: exact._Bracket, g: np.ndarray, j: int,
@@ -134,20 +188,37 @@ def _sample_batch(kernel: exact._Bracket, angles, u: np.ndarray) -> np.ndarray:
         eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
         etas[:, j] = eta
         plus[:, column[j]] += eta > 0
-        _, first, inverse = np.unique(plus, axis=0, return_index=True, return_inverse=True)
+        first, inverse = _group_rows(plus)
         g = _condition(kernel, g[state[first]], eta[first], phi)
-        state = inverse.reshape(-1)
+        state = inverse
     return etas
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)[1:]``.
+
+    One stable lexicographic sort: the distinct rows come in ascending order,
+    each represented by its lowest index.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
                      mode: str = "exact") -> np.ndarray:
     """Draw ``count`` outcome sequences; returns an int8 array (count, M).
 
-    Deterministic in ``seed``: chain i is a pure function of (seed, i), so
-    ``count`` does not change previously drawn chains.  Chains run in batches
-    of about 4e6 grid cells, one grid row per distinct count state, so memory
-    does not grow with ``count``.
+    Deterministic in ``seed``, taken modulo 2**64: chain i is a pure function
+    of (seed mod 2**64, i), so ``count`` does not change previously drawn
+    chains.  Chains run in batches of about 4e6 grid cells, one grid row per
+    distinct count state; each batch's Philox streams are computed together,
+    so memory does not grow with ``count``.
     """
     kernel = exact._Bracket.for_law(mode, config.n_plus, config.n_minus, config.m)
     if count < 1:
@@ -159,9 +230,7 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
     out = np.empty((count, m), dtype=np.int8)
     for start in range(0, count, batch):
         stop = min(start + batch, count)
-        u = np.empty((stop - start, m))
-        for chain in range(start, stop):
-            u[chain - start] = _chain_generator(seed, chain).random(m)
+        u = _philox_uniforms(seed, start, stop, m)
         out[start:stop] = _sample_batch(kernel, config.angles, u)
     return out
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fockbell.cli import main
 from fockbell.exact import all_sequence_probabilities
 from fockbell.model import ExperimentConfig
+from fockbell.phase import sample_sequences
 
 
 def write(tmp_path, name, payload):
@@ -151,6 +152,20 @@ class TestSample:
         assert len(rows) == 20
         assert set(v for row in rows for v in row) <= {"1", "-1"}
 
+    @pytest.mark.parametrize("n_plus,angles,count", [
+        (1, [0.5], 1),
+        (1, [0.5], 7),
+        (3, [0.1, 0.9, 0.9, -2.0, 0.4, 0.4], 1),
+        (3, [0.1, 0.9, 0.9, -2.0, 0.4, 0.4], 40),
+    ], ids=["one-by-one", "one-column", "one-row", "mixed"])
+    def test_rows_are_comma_joined_results(self, tmp_path, capsys, n_plus, angles, count):
+        cfg = write(tmp_path, "c.json", {"n_plus": n_plus, "n_minus": n_plus, "angles": angles})
+        _, out, _ = run(capsys, ["sample", cfg, "--count", str(count), "--seed", "4"])
+        rows = sample_sequences(ExperimentConfig(n_plus, n_plus, tuple(angles)), count, seed=4)
+        assert out == "\n".join(",".join(str(int(e)) for e in row) for row in rows) + "\n"
+        if count > 1 and len(angles) > 1:
+            assert {"1", "-1"} <= set(out.replace("\n", ",").split(",")[:-1])
+
     def test_triplet_rows_correlated(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", {"n_plus": 1, "n_minus": 1, "angles": [0.5, 0.5]})
         _, out, _ = run(capsys, ["sample", cfg, "--count", "30", "--seed", "2"])
@@ -262,6 +277,14 @@ class TestExitCodes:
         code, _, err = run(capsys, [command, path])
         assert code == 3
         assert err.startswith("error:")
+
+    def test_negative_oracle_seed_exits_cleanly(self, capsys):
+        # the seed is taken modulo 2**64, as sample and qmax take it
+        argv = ["oracle-check", "--n-max", "3", "--angle-sets", "2", "--seed"]
+        code, out, err = run(capsys, argv + ["-1"])
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "PASS"
+        assert out == run(capsys, argv + [str(2**64 - 1)])[1]
 
     def test_huge_population_correlates(self, tmp_path, capsys):
         # the rule's size is set by M alone; E = G(2) cos 0.1 with

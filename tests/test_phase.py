@@ -8,8 +8,9 @@ from fockbell.exact import _Bracket, sequence_probability
 from fockbell.model import ExperimentConfig, OutcomeSequence, PhaseDistribution
 from fockbell.phase import (
     ConditioningError,
-    _chain_generator,
     _condition,
+    _group_rows,
+    _philox_uniforms,
     _plus_probability,
     _sample_batch,
     next_outcome_probability,
@@ -20,6 +21,12 @@ from fockbell.phase import (
 )
 
 TWO_PI = 2 * math.pi
+
+
+def chain_generator(seed, chain):
+    """The reference stream of chain ``chain``: NumPy's Philox keyed by (seed mod 2**64, chain)."""
+    key = np.array([seed % 2**64, chain], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def per_chain_chain_rule(kernel, angles, u):
@@ -129,17 +136,50 @@ class TestSampling:
         rows = sample_sequences(cfg, 200, seed=1)
         assert np.all(rows[:, 0] == rows[:, 1])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 20, 300])
+    @pytest.mark.parametrize("start", [0, 9])
+    def test_batch_uniforms_equal_reference_streams(self, seed, m, start):
+        # guards NumPy's Philox counter convention: a counter bumped before each block
+        got = _philox_uniforms(seed, start, start + 6, m)
+        want = np.stack([chain_generator(seed, c).random(m) for c in range(start, start + 6)])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_seed_taken_modulo_2_64(self):
+        cfg = ExperimentConfig(3, 3, (0.1, 0.5, 0.5, 1.0, 1.0, 1.0))
+        minus_one = sample_sequences(cfg, 50, seed=-1)
+        assert not np.array_equal(minus_one, sample_sequences(cfg, 50, seed=-2))
+        np.testing.assert_array_equal(minus_one, sample_sequences(cfg, 50, seed=2**64 - 1))
+        np.testing.assert_array_equal(sample_sequences(cfg, 50, seed=5),
+                                      sample_sequences(cfg, 50, seed=2**64 + 5))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0, 1], [0, 0], [0, 1], [1, 0], [0, 0], [2, 0]]),
+        np.random.default_rng(4).integers(0, 2, (300, 3)),
+        np.random.default_rng(5).integers(0, 3, (500, 70)),
+    ], ids=["small", "few-columns", "wide"])
+    def test_grouping_matches_unique(self, rows):
+        rows = rows.astype(np.int32)
+        first, inverse = _group_rows(rows)
+        _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True,
+                                                return_inverse=True)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+
     @pytest.mark.parametrize("law", ["exact", "classical"])
-    @pytest.mark.parametrize("half,angles", [
-        (3, (0.3,) * 2 + (1.2,) * 4),
-        (4, tuple(np.random.default_rng(21).uniform(-np.pi, np.pi, 8))),
-    ], ids=["merging", "distinct"])
-    def test_deduplicated_rows_match_per_chain_rule(self, monkeypatch, law, half, angles):
+    @pytest.mark.parametrize("half,angles,fewer_rows_than_chains", [
+        (3, (0.3,) * 2 + (1.2,) * 4, True),
+        (4, tuple(np.random.default_rng(21).uniform(-np.pi, np.pi, 8)), False),
+        # 64 distinct angles, the first 8 taken twice in a row: a state code
+        # with one radix per distinct angle would need more than 64 bits
+        (36, tuple(np.repeat(np.linspace(-3.0, 3.0, 64), [2] * 8 + [1] * 56)), False),
+    ], ids=["merging", "distinct", "wide"])
+    def test_deduplicated_rows_match_per_chain_rule(self, monkeypatch, law, half, angles,
+                                                    fewer_rows_than_chains):
         m, count = len(angles), 64
         kernel = _Bracket.for_law(law, half, half, m)
-        u = np.empty((count, m))
-        for c in range(count):
-            u[c] = _chain_generator(11, c).random(m)
+        u = np.stack([chain_generator(11, c).random(m) for c in range(count)])
         live = []
 
         def counting_condition(kernel, g, eta, phi):
@@ -157,6 +197,10 @@ class TestSampling:
         assert len(live) == m
         assert all(rows <= n_states for rows, n_states in zip(live, states))
         if len(distinct) < m:
+            # some step keeps fewer rows than there are distinct histories
+            histories = [len(np.unique(got[:, :j + 1], axis=0)) for j in range(m)]
+            assert any(rows < n_hist for rows, n_hist in zip(live, histories))
+        if fewer_rows_than_chains:
             assert max(live) < count
 
     def test_many_distinct_angles_takes_general_path(self):
