@@ -1,18 +1,22 @@
 """Exact evaluation of measurement statistics for a double Fock state.
 
-Every probability here is an integral over two angles (Lambda, lambda) of a
-polynomial in cos(Lambda) and a trigonometric polynomial in lambda, so a
-Chebyshev rule on cos(Lambda) and an equispaced trapezoid rule on lambda
-integrate it exactly (to round-off) with a node count set by the number of
-measurements alone, whatever the particle number.  The closed-form
-combinatoric routes (factorial sum, correction factor, Gaussian
+A statistic that sums over outcome histories (a product average, a plus-count
+party) is an integral over two angles (Lambda, lambda) of a polynomial in
+cos(Lambda) and a trigonometric polynomial in lambda, so a Chebyshev rule on
+cos(Lambda) and an equispaced trapezoid rule on lambda integrate it exactly (to
+round-off) with a node count set by the number of measurements alone, whatever
+the particle number.  The probability of a single history needs no grid: it is a
+weighted sum over the M + 1 coefficients of one polynomial (:class:`_History`).
+The closed-form combinatoric routes (factorial sum, correction factor, Gaussian
 approximation) are kept alongside the quadrature routes; the test suite holds
 the two against each other.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from math import lgamma
 
@@ -42,8 +46,9 @@ _MAX_TREE_M = 20
 
 
 class UnnormalizableConfigError(ValueError):
-    """Raised when the Lambda rule's weights, of size up to 2**M, overflow a float
-    (very unequal populations and M > ~1000, e.g. n_plus = 0, n_minus = M = 1100)."""
+    """Raised by the product and plus-count routes when the Lambda rule's weights, of
+    size up to 2**M, overflow a float (very unequal populations and M > ~1000, e.g.
+    n_plus = 0, n_minus = M = 1100).  Single histories never form these weights."""
 
 
 def _nodes(k: int) -> np.ndarray:
@@ -70,18 +75,27 @@ def normalization_cn(n_plus: int, n_minus: int) -> float:
     return math.exp(lgamma(n + 1) - lgamma(n_plus + 1) - lgamma(n_minus + 1) - n * math.log(2.0))
 
 
-def _falling_ratio(n_plus: int, n_minus: int, m: int) -> np.ndarray:
-    """2**m [n_plus]_s [n_minus]_(m - s) / [N]_m for s = 0..m, [a]_s the falling factorial.
+def _population_logs(n_plus: int, n_minus: int, m: int):
+    """(up, down, offset): the logs of :func:`_falling_ratio` over any j <= m results,
+    log 2**j [n_plus]_s [n_minus]_(j - s) / [N]_j = up[s] + down[j - s] + offset_j,
+    with offset = offset_m; up and down are -inf where a population runs out.
 
-    Each factor is taken over N/2 or N, so that the cumulative log sums stay
-    small and the ratio is exact to round-off at any N; it is 0 where a
-    population runs out.
+    Each factor is taken over N, so that the cumulative log sums stay small and
+    the ratio is exact to round-off at any N.
     """
     n, d, steps = n_plus + n_minus, n_plus - n_minus, np.arange(m)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         up, down = (np.concatenate([[0.0], np.cumsum(np.log1p(np.maximum(
             (e - 2 * steps) / n, -1.0)))]) for e in (d, -d))
-        return np.exp(up + down[::-1] - np.log1p(-steps / n).sum())
+        return up, down, -float(np.log1p(-steps / n).sum())
+
+
+def _falling_ratio(n_plus: int, n_minus: int, m: int) -> np.ndarray:
+    """2**m [n_plus]_s [n_minus]_(m - s) / [N]_m for s = 0..m, [a]_s the falling factorial;
+    it is 0 where a population runs out."""
+    up, down, offset = _population_logs(n_plus, n_minus, m)
+    with np.errstate(over="ignore"):
+        return np.exp(up + down[::-1] + offset)
 
 
 def _others(factors: np.ndarray, axis: int) -> np.ndarray:
@@ -96,12 +110,12 @@ def _others(factors: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Bracket:
-    """The (Lambda, lambda) quadrature behind every statistic in this package.
+    """The (Lambda, lambda) quadrature behind the sums over histories: product
+    averages and plus-count parties.
 
-    A statistic of m <= M measurements is the grid mean of
-    ``weight(m) * prod_j bracket(eta_j, phi_j)`` over 2**m, where the bracket
-    is cos(Lambda) + eta cos(lambda - phi).  Lambda runs along axis 0, lambda
-    along axis 1, and lambda has 2(M + 2) trapezoid nodes.
+    A statistic of m <= M measurements is the grid mean of ``weight(m)`` times
+    the brackets cos(Lambda) + eta_j cos(lambda - phi_j), over 2**m.  Lambda runs
+    along axis 0, lambda along axis 1, and lambda has 2(M + 2) trapezoid nodes.
 
     Quantum law: with x = cos(Lambda) and d = n_plus - n_minus the Lambda
     integrand is T_d(x) x**(N - M) p(x) / C_N, where p is x**(M - m) times the
@@ -166,10 +180,6 @@ class _Bracket:
         """cos(lambda - phi)."""
         return np.cos(self.lam - phi)
 
-    def bracket(self, eta, phi: float) -> np.ndarray:
-        """cos(Lambda) + eta cos(lambda - phi) over the grid."""
-        return self.cos_big + eta * self.transverse(phi)
-
     def cosine_products(self, rows: np.ndarray, mask=True, *, slopes: bool = False):
         """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that
         ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda).
@@ -196,43 +206,115 @@ class _Bracket:
             yield replace(self, lam=self.lam[:, start:start + width])
 
 
-def _sequence(kernel: _Bracket, etas, angles) -> float:
-    """Probability of one outcome sequence; tiny negative round-off is clamped to 0.
+@lru_cache(maxsize=1024)
+def _log_modulus(phi: float) -> float:
+    """log |zeta|**2 of the float zeta = exp(-i phi / 2), from |zeta|**2 - 1 taken exactly."""
+    zeta = cmath.exp(-0.5j * phi)
+    return math.log1p(float(Fraction(zeta.real) ** 2 + Fraction(zeta.imag) ** 2 - 1))
 
-    The factor 2**-M of the denominator goes into each bracket, so long
-    sequences neither overflow 2**M nor the bracket product.
+
+@dataclass(frozen=True)
+class _History:
+    """Single outcome histories of one law, each a row of j + 1 complex coefficients
+    after j results.
+
+    The bracket product of one history is rank one in (lambda, lambda'), so
+    P(eta | phi) = sum_s r_s |e_(M - s)|**2 with every term >= 0, where e_k is the
+    coefficient of w**k in prod_j (1 + z_j w) / 2, z_j = eta_j exp(-i phi_j).  The
+    weights are r = _falling_ratio(n_plus, n_minus, M), the Dicke weights of the
+    first M spins, for the quantum law and r = 1 for the classical one; they are
+    kept as logs, so that 2**M is never formed.  A row holds the product of the
+    factors conj(zeta_j) + eta_j zeta_j w = conj(zeta_j) (1 + z_j w), with
+    zeta_j = exp(-i phi_j / 2), divided by a power of two.
     """
-    integrand = kernel.weight(len(angles))
-    for eta, phi in zip(etas, angles):
-        integrand = integrand * (0.5 * kernel.bracket(eta, phi))
-    value = float(integrand.mean())
-    if value < -1e-12:
-        raise FloatingPointError(f"probability fell to {value}, beyond round-off")
-    return max(value, 0.0)
 
+    up: np.ndarray
+    down: np.ndarray
+    offset: float        # log r_s = up[s] + down[M - s] + offset
 
-def _table(kernel: _Bracket, angles) -> np.ndarray:
-    """All 2**M sequence probabilities, bit j of the index set when outcome j is +1.
+    def __post_init__(self) -> None:
+        # instances are cached and shared, so their arrays must stay as built
+        for a in (self.up, self.down):
+            a.flags.writeable = False
 
-    The bracket products are built over a binary tree in one buffer, so each
-    sequence costs O(1) grid multiplications; the grid is sliced to bound
-    the buffer.
-    """
-    m = len(angles)
-    if m > _MAX_TREE_M:
-        raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
-    out = np.zeros(2 ** m)
-    for part in kernel.columns(max(1, _TREE_BUDGET // (2 ** m * kernel.shape[0]))):
-        tree = np.empty((2 ** m,) + part.shape)
-        tree[0] = part.weight(m)
-        for j, phi in enumerate(angles):
-            # rows [0, 2**j) hold the histories so far; outcome j sets bit j
-            np.multiply(tree[:2 ** j], part.bracket(1, phi), out=tree[2 ** j:2 ** (j + 1)])
-            tree[:2 ** j] *= part.bracket(-1, phi)
-        out += tree.sum(axis=(1, 2))
-    out /= kernel.shape[0] * kernel.shape[1] * 2 ** m
-    np.clip(out, 0.0, None, out=out)
-    return out
+    @classmethod
+    @lru_cache(maxsize=32)
+    def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_History":
+        if law not in ("exact", "classical"):
+            raise ValueError(f"unknown probability law {law!r}")
+        return cls(*(_population_logs(n_plus, n_minus, m) if law == "exact"
+                     else (np.zeros(m + 1), np.zeros(m + 1), 0.0)))
+
+    def logs(self, j: int) -> np.ndarray:
+        """log r_(j - k) over the coefficients k = 0..j of rows of j results, largest 0;
+        -inf where a population runs out, as for every coefficient fed from there."""
+        logs = self.up[j::-1] + self.down[:j + 1]
+        return logs - logs.max()
+
+    @staticmethod
+    def mass(rows: np.ndarray, logs: np.ndarray) -> np.ndarray:
+        """sum_k exp(logs[k]) |rows[..., k]|**2."""
+        pairs = rows.view(np.float64)
+        return (pairs * pairs) @ np.repeat(np.exp(logs), 2)
+
+    @staticmethod
+    def extend(rows: np.ndarray, phi: float, eta: int) -> np.ndarray:
+        """Rows times the factor of the result ``eta`` at ``phi``: one coefficient more."""
+        zeta = cmath.exp(-0.5j * phi)
+        out = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,), dtype=complex)
+        out[..., :-1] = rows * zeta.conjugate()
+        out[..., 1:] += (eta * zeta) * rows
+        return out
+
+    def rescale(self, rows: np.ndarray) -> np.ndarray:
+        """In place, zero the weightless coefficients of the rows and divide each by a
+        power of two near its largest modulus; returns the powers."""
+        exponents = np.frexp(np.abs(rows.view(np.float64)).max(axis=-1))[1]
+        rows *= np.isfinite(self.logs(rows.shape[-1] - 1)) * np.ldexp(1.0, -exponents)[..., None]
+        return exponents
+
+    def probability(self, rows: np.ndarray, exponents, angles) -> np.ndarray:
+        """P of rows of all M results at ``angles``, each divided by 2**exponents.
+
+        The float zeta_j is off the unit circle by round-off, which scales a whole
+        row; over a long run at one angle that would add up, so its exact
+        log |zeta_j|**2 comes out of the sum, and so does r's power of two.
+        """
+        logs = self.up[::-1] + self.down + self.offset - sum(map(_log_modulus, angles))
+        top = math.floor(logs.max() / math.log(2.0))
+        return np.ldexp(self.mass(rows, logs - top * math.log(2.0)),
+                        2 * np.asarray(exponents) + top - 2 * len(angles))
+
+    def follow(self, etas, angles) -> tuple[np.ndarray, int]:
+        """The row of one history and the power of two it is divided by."""
+        row, exponent = np.ones((1, 1), dtype=complex), 0
+        for j, (eta, phi) in enumerate(zip(etas, angles)):
+            row = self.extend(row, phi, eta)
+            if j % 64 == 63:   # the largest modulus at most doubles per result
+                exponent += int(self.rescale(row)[0])
+        return row, exponent
+
+    def table(self, angles) -> np.ndarray:
+        """All 2**M sequence probabilities, bit j of the index set when outcome j is +1.
+
+        Each is its row's share of the total mass, so neither r's scale nor the
+        modulus of zeta_j enters.  The rows double once per outcome; products
+        commute, so the last outcomes are fixed first, one slice each, and the
+        first ``low`` outcomes run inside a slice, as many as the budget allows.
+        """
+        m = len(angles)
+        if m > _MAX_TREE_M:
+            raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
+        low = min(m, max(0, (_TREE_BUDGET // (2 * (m + 1))).bit_length() - 1))
+
+        def tree(rows, angles):
+            for phi in angles:
+                rows = np.concatenate([self.extend(rows, phi, eta) for eta in (-1, 1)])
+            return rows
+
+        mass = np.concatenate([self.mass(tree(row[None], angles[:low]), self.logs(m))
+                               for row in tree(np.ones((1, 1), dtype=complex), angles[low:])])
+        return mass / mass.sum()
 
 
 def _product(kernel: _Bracket, rows) -> np.ndarray:
@@ -253,12 +335,12 @@ def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) ->
 
     Unperformed measurements are already summed out, so the result is the
     marginal over the first M measurements; the sum over all 2**M sequences
-    is 1.  Tiny negative round-off is clamped to 0.
+    is 1.
     """
     if len(outcomes) != config.m:
         raise ValueError("outcome sequence length must match the angle count")
-    kernel = _Bracket.quantum(config.n_plus, config.n_minus, config.m)
-    return _sequence(kernel, outcomes.etas, config.angles)
+    law = _History.for_law("exact", config.n_plus, config.n_minus, config.m)
+    return float(law.probability(*law.follow(outcomes.etas, config.angles), config.angles)[0])
 
 
 def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
@@ -267,7 +349,7 @@ def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
     Index ``i`` holds the sequence whose j-th outcome is +1 exactly when bit
     j of ``i`` is set.
     """
-    return _table(_Bracket.quantum(config.n_plus, config.n_minus, config.m), config.angles)
+    return _History.for_law("exact", config.n_plus, config.n_minus, config.m).table(config.angles)
 
 
 def correlation_e(config: ExperimentConfig) -> float:
@@ -381,8 +463,8 @@ def classical_sequence_probability(angles, etas) -> float:
     """Outcome probability under the classical-phase law.
 
     A single uniform phase integral over independent per-spin probabilities
-    (1 + eta*cos(lambda - phi))/2; exact quadrature, no particle-number
-    dependence.
+    (1 + eta*cos(lambda - phi))/2, which is the sum of the squared moduli of
+    the history's coefficients; no particle-number dependence.
     """
     angles = [float(a) for a in angles]
     etas = [int(e) for e in etas]
@@ -390,13 +472,14 @@ def classical_sequence_probability(angles, etas) -> float:
         raise ValueError("angles and outcomes must pair up")
     if any(e not in (-1, 1) for e in etas):
         raise ValueError("outcomes must be +-1")
-    return _sequence(_Bracket.classical(len(angles)), etas, angles)
+    law = _History.for_law("classical", 0, 0, len(angles))
+    return float(law.probability(*law.follow(etas, angles), angles)[0])
 
 
 def classical_all_probabilities(angles) -> np.ndarray:
     """All 2**M outcome probabilities under the classical-phase law."""
     angles = [float(a) for a in angles]
-    return _table(_Bracket.classical(len(angles)), angles)
+    return _History.for_law("classical", 0, 0, len(angles)).table(angles)
 
 
 def classical_product_correlation(angles) -> float:

@@ -78,9 +78,6 @@ class ExperimentConfig:
         """Number of measurements."""
         return len(self.angles)
 
-    def with_angles(self, angles) -> "ExperimentConfig":
-        return ExperimentConfig(self.n_plus, self.n_minus, tuple(angles))
-
 
 @dataclass(frozen=True)
 class OutcomeSequence:

@@ -63,33 +63,30 @@ def next_outcome_probability(config: ExperimentConfig, history, *,
 
     The next angle is ``config.angles[len(history)]``.  This is the chain-rule
     conditional the samplers draw from, under the quantum (``"exact"``) or
-    the classical-phase law, taken from the same renormalized history state.
+    the classical-phase law, taken from the same coefficient row of the history.
     """
     if not isinstance(history, OutcomeSequence):
         history = OutcomeSequence(tuple(history))
     m = len(history)
     if m >= config.m:
         raise ValueError("history already covers every configured measurement")
-    kernel = exact._Bracket.for_law(mode, config.n_plus, config.n_minus, config.m)
-    g = np.ones((1,) + kernel.shape)
-    for eta, phi in zip(history.etas, config.angles):
-        g = _condition(kernel, g, np.array([eta]), phi)
-    return float(_plus_probability(kernel, g, m, config.angles[m])[0])
+    law = exact._History.for_law(mode, config.n_plus, config.n_minus, config.m)
+    row, _ = law.follow(history.etas, config.angles)
+    return float(_branches(law, row, config.angles[m])[0][0])
 
 
 # ---------------------------------------------------------------------------
 # Batched sequential sampling.  The law is symmetric in the results taken at
 # one angle, so a chain's next conditional depends on its history only through
 # its (+1, -1) counts per distinct angle: chains sharing those counts share one
-# renormalized grid row.  Chain i consumes NumPy's Philox4x64-10 stream keyed
+# rescaled coefficient row.  Chain i consumes NumPy's Philox4x64-10 stream keyed
 # by (seed mod 2**64, i), computed per batch for all its chains at once; it
 # depends only on the chains before it in its batch, so the count never
 # changes it.
 # ---------------------------------------------------------------------------
 
-# grid cells per batch of chains, at one row per chain: 2(M + 1)(M + 2) per row,
-# 2(M + 2) if classical; a batch never holds more rows than chains
-_BATCH_CELLS = 4_000_000
+# complex coefficients per batch of chains, up to M + 1 per chain: no more rows than chains
+_BATCH_CELLS = 1 << 19
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -150,28 +147,18 @@ def _philox_uniforms(seed: int, start: int, stop: int, m: int) -> np.ndarray:
     return words.reshape(stop - start, 4 * blocks)[:, :m] * 2.0**-53
 
 
-def _plus_probability(kernel: exact._Bracket, g: np.ndarray, j: int,
-                      phi: float) -> np.ndarray:
-    """P(eta_j = +1 | history) per row of ``g``, each row one history's bracket product."""
-    plain = g.sum(axis=2)                        # sum over lambda
-    weighted = (g * kernel.transverse(phi)).sum(axis=2)
-    num_plus = ((plain * kernel.cos_big[:, 0] + weighted) * kernel.weight(j + 1)[:, 0]).sum(axis=1)
-    total = 2.0 * (plain * kernel.weight(j)[:, 0]).sum(axis=1)
+def _branches(law: exact._History, rows: np.ndarray, phi: float):
+    """P(+1 | history) per history row, and the rows extended by -1 and by +1."""
+    branches = np.stack([law.extend(rows, phi, eta) for eta in (-1, 1)])
+    mass = law.mass(branches, law.logs(rows.shape[-1]))
+    total = mass[0] + mass[1]
     if np.any(total <= 0.0):
         raise ConditioningError("conditioning history has zero probability")
-    return np.clip(num_plus / total, 0.0, 1.0)
+    return mass[1] / total, branches
 
 
-def _condition(kernel: exact._Bracket, g: np.ndarray, eta: np.ndarray,
-               phi: float) -> np.ndarray:
-    """Extend each row's bracket product by its result, rescaled to unit mean modulus."""
-    g = g * kernel.bracket(eta[:, None, None], phi)
-    scale = np.abs(g).mean(axis=(1, 2))
-    return g / np.maximum(scale, 1e-300)[:, None, None]
-
-
-def _sample_batch(kernel: exact._Bracket, angles, u: np.ndarray) -> np.ndarray:
-    """Chain-rule sampling under either law, one renormalized grid row per count state.
+def _sample_batch(law: exact._History, angles, u: np.ndarray) -> np.ndarray:
+    """Chain-rule sampling under either law, one rescaled coefficient row per count state.
 
     A state is a chain's vector of +1 counts per distinct angle; the -1 counts
     follow from the step.  Each new state's row extends the parent row of the
@@ -181,15 +168,16 @@ def _sample_batch(kernel: exact._Bracket, angles, u: np.ndarray) -> np.ndarray:
     column = np.unique(np.asarray(angles, dtype=float), return_inverse=True)[1].reshape(-1)
     plus = np.zeros((count, column.max() + 1), dtype=np.int32)
     state = np.zeros(count, dtype=np.intp)       # row of each chain
-    g = np.ones((1,) + kernel.shape)
+    rows = np.ones((1, 1), dtype=complex)
     etas = np.empty((count, m), dtype=np.int8)
     for j, phi in enumerate(angles):
-        prob_plus = _plus_probability(kernel, g, j, phi)[state]
-        eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
+        prob_plus, branches = _branches(law, rows, phi)
+        eta = np.where(u[:, j] < prob_plus[state], 1, -1).astype(np.int8)
         etas[:, j] = eta
         plus[:, column[j]] += eta > 0
         first, inverse = _group_rows(plus)
-        g = _condition(kernel, g[state[first]], eta[first], phi)
+        rows = branches[(eta[first] > 0).astype(np.intp), state[first]]
+        law.rescale(rows)
         state = inverse
     return etas
 
@@ -216,22 +204,22 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
 
     Deterministic in ``seed``, taken modulo 2**64: chain i is a pure function
     of (seed mod 2**64, i), so ``count`` does not change previously drawn
-    chains.  Chains run in batches of about 4e6 grid cells, one grid row per
-    distinct count state; each batch's Philox streams are computed together,
-    so memory does not grow with ``count``.
+    chains.  Chains run in batches of about 5e5 complex coefficients, one row of
+    M + 1 per distinct count state; each batch's Philox streams are computed
+    together, so memory does not grow with ``count``.
     """
-    kernel = exact._Bracket.for_law(mode, config.n_plus, config.n_minus, config.m)
+    law = exact._History.for_law(mode, config.n_plus, config.n_minus, config.m)
     if count < 1:
         raise ValueError("need a positive sample count")
     m = config.m
     if m == 0:
         return np.empty((count, 0), dtype=np.int8)
-    batch = max(1, min(count, _BATCH_CELLS // math.prod(kernel.shape)))
+    batch = max(1, min(count, _BATCH_CELLS // (m + 1)))
     out = np.empty((count, m), dtype=np.int8)
     for start in range(0, count, batch):
         stop = min(start + batch, count)
         u = _philox_uniforms(seed, start, stop, m)
-        out[start:stop] = _sample_batch(kernel, config.angles, u)
+        out[start:stop] = _sample_batch(law, config.angles, u)
     return out
 
 

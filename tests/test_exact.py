@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from fockbell import exact
 from fockbell.exact import (
     _Bracket,
     all_sequence_probabilities,
@@ -28,6 +29,15 @@ def correlation_e_outcome_sum(config):
     minus_counts = np.array([config.m - bin(i).count("1") for i in range(probs.size)])
     signs = np.where(minus_counts % 2, -1.0, 1.0)
     return float(np.dot(signs, probs))
+
+
+def grid_sequence(kernel, etas, angles):
+    """Probability of one sequence on the (Lambda, lambda) grid: the mean of the
+    Lambda weight times the halved brackets (cos(Lambda) + eta cos(lambda - phi)) / 2."""
+    integrand = kernel.weight(len(angles))
+    for eta, phi in zip(etas, angles):
+        integrand = integrand * (0.5 * (kernel.cos_big + eta * kernel.transverse(phi)))
+    return float(integrand.mean())
 
 
 def quad_cn(n_plus, n_minus, nodes):
@@ -137,6 +147,36 @@ class TestSequenceProbability:
         cfg = ExperimentConfig(1, 1, (0.0, 0.5))
         with pytest.raises(ValueError):
             sequence_probability(cfg, OutcomeSequence((1,)))
+
+    def test_grid_route_agrees(self):
+        # every N <= 12, population split and M <= N, both laws: the coefficient
+        # row against the (Lambda, lambda) grid's bracket product
+        rng = np.random.default_rng(23)
+        for n in range(1, 13):
+            for n_plus in range(n + 1):
+                for m in range(n + 1):
+                    angles = tuple(rng.uniform(-np.pi, np.pi, m))
+                    etas = tuple(int(e) for e in rng.choice([-1, 1], m))
+                    got = sequence_probability(ExperimentConfig(n_plus, n - n_plus, angles),
+                                               OutcomeSequence(etas))
+                    want = grid_sequence(_Bracket.quantum(n_plus, n - n_plus, m), etas, angles)
+                    assert got == pytest.approx(want, rel=0, abs=1e-14)
+                    assert classical_sequence_probability(angles, etas) == pytest.approx(
+                        grid_sequence(_Bracket.classical(m), etas, angles), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("law", ["exact", "classical"])
+    def test_table_slices_agree(self, monkeypatch, law):
+        # a budget of a few rows fixes the last outcomes first, one slice each;
+        # the products are taken in another order, so they agree to round-off
+        rng = np.random.default_rng(29)
+        angles = tuple(rng.uniform(-np.pi, np.pi, 9))
+        cfg = ExperimentConfig(6, 5, angles)
+        table = {"exact": lambda: all_sequence_probabilities(cfg),
+                 "classical": lambda: classical_all_probabilities(angles)}[law]
+        whole = table()
+        for budget in (2 * (9 + 1) * 8, 1):
+            monkeypatch.setattr(exact, "_TREE_BUDGET", budget)
+            np.testing.assert_allclose(table(), whole, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n_plus,n_minus,m,seed", [
         (1, 1, 2, 0), (2, 2, 4, 1), (3, 2, 4, 2), (4, 4, 6, 3),
@@ -450,6 +490,14 @@ class TestAnyPopulation:
             for n_plus in (0, n):
                 probs = all_sequence_probabilities(ExperimentConfig(n_plus, n - n_plus, angles))
                 np.testing.assert_allclose(probs, 2.0 ** -m, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_plus,n_minus", [(0, 30), (30, 0)])
+    def test_single_fock_table_at_sixteen_measurements(self, n_plus, n_minus):
+        # only one coefficient carries weight, 2**M of it, so the table is 2**-M to
+        # round-off; a (Lambda, lambda) grid's weights reach 2**M and lose 2**M eps
+        angles = tuple(np.random.default_rng(16).uniform(-np.pi, np.pi, 16))
+        probs = all_sequence_probabilities(ExperimentConfig(n_plus, n_minus, angles))
+        np.testing.assert_allclose(probs, 2.0 ** -16, rtol=1e-13)
 
     @pytest.mark.parametrize("n", [10, 1000, 10**4, 10**6])
     def test_partial_correlation_is_g_times_full(self, n):

@@ -1,0 +1,178 @@
+"""Exact-arithmetic reference at quarter-turn angles, at any particle number.
+
+At angles that are multiples of pi/2, z_j = eta_j exp(-i phi_j) lies in
+{1, -1, i, -i}, so the coefficients e_k of prod_j (1 + z_j w) are Gaussian
+integers, and P(eta | phi) = sum_k r_(M - k) |e_k|**2 / 4**M, with the weights
+r_s = 2**M [n_plus]_s [n_minus]_(M - s) / [N]_M of the Dicke states of the
+first M spins (r = 1 for the classical-phase law), is an exact fraction.
+The reference is held against the state-vector oracle at small N; every
+tolerance below is relative to the exact value.
+"""
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from fockbell.exact import (
+    all_sequence_probabilities,
+    classical_all_probabilities,
+    classical_product_correlation,
+    classical_sequence_probability,
+    correlation_e,
+    sequence_probability,
+)
+from fockbell.functional import expectation
+from fockbell.model import ExperimentConfig, OutcomeSequence, PartyFunctional
+from fockbell.oracle import oracle_all_probabilities, w_state
+
+# exp(-i q pi / 2) as (real, imaginary) for q = 0..3
+_QUARTER_PHASES = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+POPULATIONS = [(10**6, 10**6 - 3, 12), (123457, 7, 10), (0, 40, 14)]
+LAWS = ["exact", "classical"]
+
+# The plus-count route sums over histories on the (Lambda, lambda) grid, whose
+# Lambda weights reach 2**M for very unequal populations, so its round-off
+# grows like 2**M eps: under the exact law these two are off by 2.1e-14 and
+# 7.9e-13.  They stay marked as known failures until that route is mended.
+_GRID_ROUNDOFF = pytest.mark.xfail(
+    strict=True, reason="plus-count grid round-off at very unequal populations")
+_UNEQUAL = [(123457, 7, 10), (0, 40, 14)]
+PLUS_COUNT_CASES = [
+    pytest.param(*population, law,
+                 marks=_GRID_ROUNDOFF if law == "exact" and population in _UNEQUAL else ())
+    for population in POPULATIONS for law in LAWS]
+
+
+def falling(a, s):
+    return math.prod(range(a - s + 1, a + 1)) if s <= a else 0
+
+
+@lru_cache(maxsize=16)
+def exact_table(n_plus, n_minus, turns, law):
+    """Numerators and their common denominator of all 2**M probabilities, bit j of
+    the index set when outcome j is +1; ``turns`` holds the angles in quarter turns."""
+    m = len(turns)
+    re = np.zeros((2 ** m, m + 1), dtype=np.int64)
+    im = np.zeros_like(re)
+    re[0, 0] = 1
+    for j, q in enumerate(turns):
+        zr, zi = _QUARTER_PHASES[q % 4]
+        half = 2 ** j
+        # z times the coefficients so far, shifted up one power of w
+        sr = zr * re[:half, :-1] - zi * im[:half, :-1]
+        si = zr * im[:half, :-1] + zi * re[:half, :-1]
+        re[half:2 * half], im[half:2 * half] = re[:half], im[:half]
+        re[half:2 * half, 1:] += sr
+        im[half:2 * half, 1:] += si
+        re[:half, 1:] -= sr
+        im[:half, 1:] -= si
+    norms = (re * re + im * im).astype(object)
+    if law == "classical":
+        weights, den = [1] * (m + 1), 4 ** m
+    else:
+        weights = [falling(n_plus, m - k) * falling(n_minus, k) for k in range(m + 1)]
+        den = falling(n_plus + n_minus, m) * 2 ** m
+    return [int(x) for x in norms @ np.array(weights, dtype=object)], den
+
+
+def signs(m):
+    """Product of the outcomes of every sequence, by table index."""
+    return np.array([(-1) ** (m - bin(i).count("1")) for i in range(2 ** m)])
+
+
+def plus_counts(m, bits):
+    """+1 count among the outcomes ``bits`` of every sequence, by table index."""
+    return np.array([sum(i >> b & 1 for b in bits) for i in range(2 ** m)])
+
+
+def exact_average(n_plus, n_minus, turns, law, values):
+    """sum_i values[i] P_i in exact arithmetic, for integer ``values``."""
+    nums, den = exact_table(n_plus, n_minus, turns, law)
+    return sum(int(v) * x for v, x in zip(values, nums)) / den
+
+
+def close(got, want, m):
+    return abs(got - want) <= 1e-13 * max(abs(want), 2.0 ** -m)
+
+
+def quarter_turns(seed, m):
+    return tuple(int(q) for q in np.random.default_rng(seed).integers(0, 4, m))
+
+
+def angles_of(turns):
+    return tuple(q * math.pi / 2 for q in turns)
+
+
+def table_of(n_plus, n_minus, turns, law):
+    if law == "exact":
+        return all_sequence_probabilities(ExperimentConfig(n_plus, n_minus, angles_of(turns)))
+    return classical_all_probabilities(angles_of(turns))
+
+
+class TestReference:
+    def test_matches_state_vector(self):
+        # the marginal of the oracle's full table over the unmeasured spins
+        rng = np.random.default_rng(3)
+        for n in range(1, 7):
+            for n_plus in range(n + 1):
+                turns = tuple(int(q) for q in rng.integers(0, 4, n))
+                full = oracle_all_probabilities(w_state(n_plus, n - n_plus), angles_of(turns))
+                for m in range(n + 1):
+                    nums, den = exact_table(n_plus, n - n_plus, turns[:m], "exact")
+                    want = full.reshape(-1, 2 ** m).sum(axis=0)
+                    np.testing.assert_allclose([x / den for x in nums], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_sums_to_one(self, law):
+        for n_plus, n_minus, m in POPULATIONS:
+            nums, den = exact_table(n_plus, n_minus, quarter_turns(m, m), law)
+            assert sum(nums) == den
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("n_plus,n_minus,m", POPULATIONS)
+class TestAgainstReference:
+    def test_table(self, n_plus, n_minus, m, law):
+        turns = quarter_turns(m, m)
+        nums, den = exact_table(n_plus, n_minus, turns, law)
+        got = table_of(n_plus, n_minus, turns, law)
+        assert all(close(g, x / den, m) for g, x in zip(got, nums))
+
+    def test_single_sequences(self, n_plus, n_minus, m, law):
+        turns = quarter_turns(m, m)
+        nums, den = exact_table(n_plus, n_minus, turns, law)
+        for i in np.random.default_rng(m).choice(2 ** m, 16, replace=False):
+            etas = tuple(1 if i >> j & 1 else -1 for j in range(m))
+            if law == "exact":
+                got = sequence_probability(ExperimentConfig(n_plus, n_minus, angles_of(turns)),
+                                           OutcomeSequence(etas))
+            else:
+                got = classical_sequence_probability(angles_of(turns), etas)
+            assert close(got, nums[i] / den, m)
+
+    def test_product_correlation(self, n_plus, n_minus, m, law):
+        # the product route takes no table; here f is summed over the exact one
+        turns = quarter_turns(m, m)
+        want = exact_average(n_plus, n_minus, turns, law, signs(m))
+        if law == "exact":
+            got = correlation_e(ExperimentConfig(n_plus, n_minus, angles_of(turns)))
+        else:
+            got = classical_product_correlation(angles_of(turns))
+        assert close(got, want, m)
+
+
+@pytest.mark.parametrize("n_plus,n_minus,m,law", PLUS_COUNT_CASES)
+def test_plus_count_expectation(n_plus, n_minus, m, law):
+    # two binned-sign parties, the first half of the measurements and the rest
+    half = m // 2
+    turns = quarter_turns(m, m)
+    first, second = PartyFunctional.binned_sign(), PartyFunctional.binned_sign("zero")
+    k1, k2 = plus_counts(m, range(half)), plus_counts(m, range(half, m))
+    values = [first.value_given_plus_count(a, half) * second.value_given_plus_count(b, m - half)
+              for a, b in zip(k1, k2)]
+    want = exact_average(n_plus, n_minus, turns, law, values)
+    got = expectation(ExperimentConfig(n_plus, n_minus, angles_of(turns)),
+                      [(half, first), (m - half, second)], law=law)
+    assert close(got, want, m)

@@ -1,17 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fockbell import phase
-from fockbell.exact import _Bracket, sequence_probability
+from fockbell.exact import _History, sequence_probability
 from fockbell.model import ExperimentConfig, OutcomeSequence, PhaseDistribution
 from fockbell.phase import (
     ConditioningError,
-    _condition,
+    _branches,
     _group_rows,
     _philox_uniforms,
-    _plus_probability,
     _sample_batch,
     next_outcome_probability,
     peak_statistics,
@@ -29,15 +29,35 @@ def chain_generator(seed, chain):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def per_chain_chain_rule(kernel, angles, u):
-    """The chain rule without deduplication: one conditioned grid row per chain."""
-    g = np.ones((u.shape[0],) + kernel.shape)
+def per_chain_chain_rule(law, angles, u):
+    """The chain rule without deduplication: one conditioned coefficient row per chain."""
+    chains = np.arange(u.shape[0])
+    rows = np.ones((u.shape[0], 1), dtype=complex)
     etas = np.empty(u.shape, dtype=np.int8)
     for j, phi in enumerate(angles):
-        eta = np.where(u[:, j] < _plus_probability(kernel, g, j, phi), 1, -1).astype(np.int8)
+        prob_plus, branches = _branches(law, rows, phi)
+        eta = np.where(u[:, j] < prob_plus, 1, -1).astype(np.int8)
         etas[:, j] = eta
-        g = _condition(kernel, g, eta, phi)
+        rows = branches[(eta > 0).astype(np.intp), chains]
+        law.rescale(rows)
     return etas
+
+
+# (config, count, mode, sha256 of the sampled bytes for seeds 0, 1, 2)
+GOLDEN = {
+    "grouped": (ExperimentConfig(10, 10, (0.4,) + (1.9,) * 19), 400, "exact", (
+        "edf99d5fd065a2abc7890b05716655dd128bbe7ab17e66d083185c8aef1b13e9",
+        "1660d353801ae5488a8f1f5b39d074dface09c162f985c1b3933988e21a7cc3d",
+        "a9f77ef080fe5c2f283b74ef0b23758b1b69bc83627da4e49b2265f2359055be")),
+    "classical": (ExperimentConfig(500, 500, (0.3, 0.3 + math.pi / 2) * 150), 20, "classical", (
+        "a0c7371a0bfcb52404e45301841aef616348c5c31b0116f09f4efd7db9bb471b",
+        "41135aab18e8634700392917f85945a7ce13044fc2c2622927a588e0e8352c39",
+        "d7121ea5a53ded3a0291e75b97ce2803c2560909d9ce7775eebf9905e87ae4a8")),
+    "exact": (ExperimentConfig(50, 50, tuple(-3.0 + 0.77 * k for k in range(8))), 100, "exact", (
+        "a3a7fc1d77c53ae2154605a60d68b40570d80caac5f87892a235f0fa75ca6139",
+        "b4e11574888724750014cf8c61bb058f85f626e5f4e480b1ccabd6fcd99281fd",
+        "3e4a1d4c9015c32852810ba2f32c671f20ea7296c2077600f694170667caf46b")),
+}
 
 
 class TestPosterior:
@@ -105,6 +125,18 @@ class TestNextOutcome:
             joint = sequence_probability(cfg, OutcomeSequence(etas))
             assert prob == pytest.approx(joint, abs=1e-10)
 
+    @pytest.mark.parametrize("one_angle", [False, True], ids=["random-angles", "one-angle"])
+    def test_single_fock_state_long_history_is_fair(self, one_angle):
+        # one coefficient carries all the weight; a (Lambda, lambda) rule's weights,
+        # 2**1100, would leave the float range.  At one angle with every result +1
+        # the weightless coefficients are binomial, up to 2**1095 times the one
+        # that carries the weight, so they must be kept at 0
+        rng = np.random.default_rng(1100)
+        angles = (0.3,) * 1100 if one_angle else tuple(rng.uniform(-np.pi, np.pi, 1100))
+        history = [1] * 1099 if one_angle else [int(e) for e in rng.choice([-1, 1], 1099)]
+        cfg = ExperimentConfig(0, 1100, angles)
+        assert next_outcome_probability(cfg, history) == pytest.approx(0.5, abs=1e-12)
+
     def test_history_must_leave_room(self):
         cfg = ExperimentConfig(1, 1, (0.0, 0.1))
         with pytest.raises(ValueError):
@@ -121,7 +153,7 @@ class TestSampling:
     def test_chains_independent_of_batching(self, monkeypatch):
         cfg = ExperimentConfig(2, 2, (0.2, 0.2, 1.0, 1.0))
         whole = sample_sequences(cfg, 40, seed=9)
-        monkeypatch.setattr(phase, "_BATCH_CELLS", 7 * math.prod(_Bracket.quantum(2, 2, 4).shape))
+        monkeypatch.setattr(phase, "_BATCH_CELLS", 7 * (4 + 1))
         pieces = sample_sequences(cfg, 40, seed=9)
         np.testing.assert_array_equal(whole, pieces)
 
@@ -145,6 +177,21 @@ class TestSampling:
         want = np.stack([chain_generator(seed, c).random(m) for c in range(start, start + 6)])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("one_angle", [False, True], ids=["random-angles", "one-angle"])
+    def test_single_fock_state_samples_at_large_m(self, one_angle):
+        rng = np.random.default_rng(1100)
+        angles = (0.3,) * 1100 if one_angle else tuple(rng.uniform(-np.pi, np.pi, 1100))
+        rows = sample_sequences(ExperimentConfig(0, 1100, angles), 1, seed=4)
+        assert rows.shape == (1, 1100)
+        assert set(np.unique(rows)) <= {-1, 1}
+
+    @pytest.mark.parametrize("name,seed", [(name, seed) for name in GOLDEN for seed in range(3)])
+    def test_seeded_output_is_pinned(self, name, seed):
+        # digests of the samplers' bytes on inputs shaped like the benchmark's
+        cfg, count, mode, digests = GOLDEN[name]
+        rows = sample_sequences(cfg, count, seed, mode=mode)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digests[seed]
 
     def test_seed_taken_modulo_2_64(self):
         cfg = ExperimentConfig(3, 3, (0.1, 0.5, 0.5, 1.0, 1.0, 1.0))
@@ -178,32 +225,33 @@ class TestSampling:
     def test_deduplicated_rows_match_per_chain_rule(self, monkeypatch, law, half, angles,
                                                     fewer_rows_than_chains):
         m, count = len(angles), 64
-        kernel = _Bracket.for_law(law, half, half, m)
+        law = _History.for_law(law, half, half, m)
         u = np.stack([chain_generator(11, c).random(m) for c in range(count)])
         live = []
 
-        def counting_condition(kernel, g, eta, phi):
-            live.append(g.shape[0])
-            return _condition(kernel, g, eta, phi)
+        def counting_branches(law, rows, phi):
+            live.append(rows.shape[0])
+            return _branches(law, rows, phi)
 
-        monkeypatch.setattr(phase, "_condition", counting_condition)
-        got = _sample_batch(kernel, angles, u)
-        np.testing.assert_array_equal(got, per_chain_chain_rule(kernel, angles, u))
-        # a chain's count state after j results: its +1 count at each distinct angle
+        monkeypatch.setattr(phase, "_branches", counting_branches)
+        got = _sample_batch(law, angles, u)
+        np.testing.assert_array_equal(got, per_chain_chain_rule(law, angles, u))
+        # a chain's count state after j results: its +1 count at each distinct angle;
+        # step j starts from the rows of the states after j results, one before it
         distinct = sorted(set(angles))
         plus = np.stack([np.cumsum((got > 0) & (np.array(angles) == a), axis=1)
                          for a in distinct], axis=2)
-        states = [len(np.unique(plus[:, j], axis=0)) for j in range(m)]
+        states = [1] + [len(np.unique(plus[:, j], axis=0)) for j in range(m - 1)]
         assert len(live) == m
         assert all(rows <= n_states for rows, n_states in zip(live, states))
         if len(distinct) < m:
             # some step keeps fewer rows than there are distinct histories
-            histories = [len(np.unique(got[:, :j + 1], axis=0)) for j in range(m)]
+            histories = [1] + [len(np.unique(got[:, :j + 1], axis=0)) for j in range(m - 1)]
             assert any(rows < n_hist for rows, n_hist in zip(live, histories))
         if fewer_rows_than_chains:
             assert max(live) < count
 
-    def test_many_distinct_angles_takes_general_path(self):
+    def test_many_distinct_angles_sample_outcomes(self):
         rng = np.random.default_rng(21)
         cfg = ExperimentConfig(4, 4, tuple(rng.uniform(-np.pi, np.pi, 8)))
         rows = sample_sequences(cfg, 32, seed=2)
