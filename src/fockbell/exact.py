@@ -80,14 +80,15 @@ def _population_logs(n_plus: int, n_minus: int, m: int):
     log 2**j [n_plus]_s [n_minus]_(j - s) / [N]_j = up[s] + down[j - s] + offset_j,
     with offset = offset_m; up and down are -inf where a population runs out.
 
-    Each factor is taken over N, so that the cumulative log sums stay small and
-    the ratio is exact to round-off at any N.
+    Each factor is taken over N, so that the cumulative log sums stay small, and
+    is a ratio of integers rounded once before its log, so that the ratio is exact
+    to round-off at any N, also where a population is nearly used up.
     """
-    n, d, steps = n_plus + n_minus, n_plus - n_minus, np.arange(m)
+    n, steps = n_plus + n_minus, np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        up, down = (np.concatenate([[0.0], np.cumsum(np.log1p(np.maximum(
-            (e - 2 * steps) / n, -1.0)))]) for e in (d, -d))
-        return up, down, -float(np.log1p(-steps / n).sum())
+        up, down = (np.concatenate([[0.0], np.cumsum(np.log(
+            np.maximum(2 * (pop - steps), 0) / n))]) for pop in (n_plus, n_minus))
+        return up, down, -float(np.log((n - steps) / n).sum())
 
 
 def _falling_ratio(n_plus: int, n_minus: int, m: int) -> np.ndarray:

@@ -265,8 +265,8 @@ class PhaseDistribution:
     """Discretized phase density on a uniform angular grid over [-pi, pi).
 
     The grid is periodic and equispaced, so the trapezoid rule coincides with
-    the mean value times 2*pi; the values must be non-negative and integrate
-    to 1 within 1e-12.
+    the mean value times 2*pi; the values must be finite, non-negative and
+    integrate to 1 within 1e-12.
     """
 
     grid: np.ndarray
@@ -277,10 +277,12 @@ class PhaseDistribution:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise ValueError("grid and values must be matching 1-d arrays")
+        if not np.isfinite(self.values).all():
+            raise ValueError("phase density must be finite")
         if np.any(self.values < 0.0):
             raise ValueError("phase density must be non-negative")
         integral = self.integral()
-        if abs(integral - 1.0) > 1e-12:
+        if not abs(integral - 1.0) <= 1e-12:
             raise ValueError(f"density integrates to {integral!r}, not 1")
 
     @property

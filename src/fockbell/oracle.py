@@ -66,16 +66,14 @@ def w_state(n_plus: int, n_minus: int) -> SpinStateVector:
 
 def _apply_projector(amps: np.ndarray, n: int, spin: int, phi: float, eta: int) -> np.ndarray:
     """Apply the transverse-spin projector (1 + eta*sigma_phi)/2 to one spin."""
-    tensor = amps.reshape([2] * n)
-    # axis for spin j counts from the end because bit 0 is the fastest index
-    axis = n - 1 - spin
-    moved = np.moveaxis(tensor, axis, -1)
-    down, up = moved[..., 0], moved[..., 1]
+    # bit ``spin`` of the index is the middle axis: (higher bits, this spin, lower bits)
+    pairs = amps.reshape(2 ** (n - 1 - spin), 2, 2 ** spin)
+    down, up = pairs[:, 0], pairs[:, 1]
     phase = np.exp(1j * phi)
-    out = np.empty_like(moved)
-    out[..., 1] = 0.5 * (up + eta * np.conj(phase) * down)
-    out[..., 0] = 0.5 * (eta * phase * up + down)
-    return np.moveaxis(out, -1, axis).reshape(-1)
+    out = np.empty_like(pairs)
+    out[:, 1] = 0.5 * (up + eta * np.conj(phase) * down)
+    out[:, 0] = 0.5 * (eta * phase * up + down)
+    return out.reshape(-1)
 
 
 def oracle_sequence_probability(state: SpinStateVector, angles, outcomes) -> float:
@@ -116,16 +114,13 @@ def oracle_all_probabilities(state: SpinStateVector, angles) -> np.ndarray:
     angles = [float(a) for a in angles]
     if len(angles) != state.n:
         raise ValueError("need exactly one angle per spin")
-    tensor = state.amplitudes.reshape([2] * state.n).copy()
+    amps = state.amplitudes.copy()
     inv_sqrt2 = 1.0 / sqrt(2.0)
     for spin, phi in enumerate(angles):
-        axis = state.n - 1 - spin
-        moved = np.moveaxis(tensor, axis, -1)
-        down, up = moved[..., 0].copy(), moved[..., 1].copy()
-        phase = np.exp(-1j * phi)
+        pairs = amps.reshape(2 ** (state.n - 1 - spin), 2, 2 ** spin)
+        up = pairs[:, 1].copy()
+        rotated = np.exp(-1j * phi) * pairs[:, 0]
         # rows of the basis change: <e_eta| = (<up| + eta e^{-i phi} <down|)/sqrt2
-        moved[..., 1] = (up + phase * down) * inv_sqrt2
-        moved[..., 0] = (up - phase * down) * inv_sqrt2
-        tensor = np.moveaxis(moved, -1, axis)
-    probs = np.abs(tensor.reshape(-1)) ** 2
-    return probs
+        pairs[:, 1] = (up + rotated) * inv_sqrt2
+        pairs[:, 0] = (up - rotated) * inv_sqrt2
+    return np.abs(amps) ** 2

@@ -38,22 +38,44 @@ class ConditioningError(ValueError):
 def phase_posterior(angles, outcomes, resolution: int = DEFAULT_RESOLUTION) -> PhaseDistribution:
     """Posterior phase density after a history of measurements.
 
-    Multiplies one factor 1 + eta*cos(lambda - phi) per past measurement on a
-    uniform grid, renormalizing after every factor so that hundreds of
-    updates cannot underflow.  An empty history returns the uniform density.
+    The density is proportional to the product of one factor
+    1 + eta*cos(lambda - phi) per past measurement.  The product commutes, so
+    it depends on the history only through how many +1 and -1 results each
+    distinct angle got: each (angle, outcome) pair adds its count times
+    log(1 + eta*cos(grid - phi)) to one row of logs on a uniform grid, whose
+    maximum is subtracted before one exponentiation and one normalization, so
+    no length of history can underflow.  An empty history returns the uniform
+    density; one whose density vanishes at every node raises
+    :class:`ConditioningError`.
     """
-    angles = [float(a) for a in angles]
-    etas = [int(e) for e in outcomes]
-    if len(angles) != len(etas):
+    angles = np.array([float(a) for a in angles])
+    etas = np.array([int(e) for e in outcomes], dtype=np.intp)
+    if angles.size != etas.size:
         raise ValueError("angles and outcomes must pair up")
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
+    if np.any(np.abs(etas) != 1):
+        raise ValueError("outcomes must be +-1")
     grid = PhaseDistribution.uniform_grid(resolution)
-    values = np.full(resolution, 1.0 / TWO_PI)
-    for phi, eta in zip(angles, etas):
-        values = values * (1.0 + eta * np.cos(grid - phi))
-        norm = values.mean() * TWO_PI
-        if norm <= 0.0:
-            raise ConditioningError("history has zero probability")
-        values /= norm
+    distinct, column = np.unique(angles, return_inverse=True)
+    plus = np.bincount(column[etas > 0], minlength=distinct.size)
+    minus = np.bincount(column[etas < 0], minlength=distinct.size)
+    logs = np.zeros(resolution)
+    cos = np.empty(resolution)
+    term = np.empty(resolution)
+    with np.errstate(divide="ignore"):   # log(0) = -inf where a factor vanishes
+        for phi, n_plus, n_minus in zip(distinct, plus, minus):
+            np.cos(np.subtract(grid, phi, out=cos), out=cos)
+            for n, factor in ((n_plus, np.add), (n_minus, np.subtract)):
+                if n:
+                    np.log(factor(1.0, cos, out=term), out=term)
+                    term *= n
+                    logs += term
+    top = logs.max()
+    if top == -np.inf:
+        raise ConditioningError("history has zero probability")
+    values = np.exp(logs - top)
+    values /= values.mean() * TWO_PI
     return PhaseDistribution(grid=grid, values=values)
 
 

@@ -9,6 +9,7 @@ The reference is held against the state-vector oracle at small N; every
 tolerance below is relative to the exact value.
 """
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +20,7 @@ from fockbell.exact import (
     classical_all_probabilities,
     classical_product_correlation,
     classical_sequence_probability,
+    correction_factor_g,
     correlation_e,
     sequence_probability,
 )
@@ -161,6 +163,21 @@ class TestAgainstReference:
         else:
             got = classical_product_correlation(angles_of(turns))
         assert close(got, want, m)
+
+
+@pytest.mark.parametrize("n_plus,n_minus,m", POPULATIONS + [(2 * 10**12, 3, 6)])
+def test_correction_factor_g(n_plus, n_minus, m):
+    # C(M, h) [n_plus]_h [n_minus]_h / [N]_M with h = M/2, zero for odd M; the last
+    # population uses up the smaller one, where each factor's log must not lose digits
+    h = m // 2
+    want = Fraction(math.comb(m, h) * falling(n_plus, h) * falling(n_minus, h),
+                    falling(n_plus + n_minus, m))
+    got = correction_factor_g(m, n_plus, n_minus)
+    if want == 0:
+        assert got == 0.0
+    else:
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * want
+    assert correction_factor_g(m - 1, n_plus, n_minus) == 0.0
 
 
 @pytest.mark.parametrize("n_plus,n_minus,m,law", PLUS_COUNT_CASES)

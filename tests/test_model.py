@@ -166,6 +166,14 @@ class TestPhaseDistribution:
         with pytest.raises(ValueError):
             PhaseDistribution(grid, np.full(64, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        grid = PhaseDistribution.uniform_grid(64)
+        vals = np.full(64, 1 / (2 * math.pi))
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PhaseDistribution(grid, vals)
+
     def test_negative_rejected(self):
         grid = PhaseDistribution.uniform_grid(64)
         vals = np.full(64, 1 / (2 * math.pi))

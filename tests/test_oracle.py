@@ -14,6 +14,33 @@ from fockbell.oracle import (
 )
 
 
+def moveaxis_projector(amps, n, spin, phi, eta):
+    """(1 + eta*sigma_phi)/2 on one spin, through an n-axis tensor: the reference."""
+    axis = n - 1 - spin
+    moved = np.moveaxis(amps.reshape([2] * n), axis, -1)
+    down, up = moved[..., 0], moved[..., 1]
+    phase = np.exp(1j * phi)
+    out = np.empty_like(moved)
+    out[..., 1] = 0.5 * (up + eta * np.conj(phase) * down)
+    out[..., 0] = 0.5 * (eta * phase * up + down)
+    return np.moveaxis(out, -1, axis).reshape(-1)
+
+
+def moveaxis_all_probabilities(state, angles):
+    """Every outcome probability, one basis rotation per tensor axis: the reference."""
+    tensor = state.amplitudes.reshape([2] * state.n).copy()
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for spin, phi in enumerate(angles):
+        axis = state.n - 1 - spin
+        moved = np.moveaxis(tensor, axis, -1)
+        down, up = moved[..., 0].copy(), moved[..., 1].copy()
+        phase = np.exp(-1j * phi)
+        moved[..., 1] = (up + phase * down) * inv_sqrt2
+        moved[..., 0] = (up - phase * down) * inv_sqrt2
+        tensor = np.moveaxis(moved, -1, axis)
+    return np.abs(tensor.reshape(-1)) ** 2
+
+
 class TestWState:
     def test_three_spins_one_down(self):
         state = w_state(2, 1)
@@ -77,6 +104,23 @@ class TestOracleEquivalence:
             etas = tuple(1 if idx >> j & 1 else -1 for j in range(3))
             assert table[idx] == pytest.approx(
                 oracle_sequence_probability(state, angles, etas), abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_moveaxis_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        for n_plus in range(n + 1):
+            state = w_state(n_plus, n - n_plus)
+            for _ in range(3):
+                angles = rng.uniform(-np.pi, np.pi, n)
+                assert np.array_equal(oracle_all_probabilities(state, angles),
+                                      moveaxis_all_probabilities(state, angles))
+                m = int(rng.integers(1, n + 1))
+                etas = [int(e) for e in rng.choice([-1, 1], m)]
+                amps = state.amplitudes
+                for spin in range(m):
+                    amps = moveaxis_projector(amps, n, spin, angles[spin], etas[spin])
+                want = max(complex(np.vdot(state.amplitudes, amps)).real, 0.0)
+                assert oracle_sequence_probability(state, angles[:m], etas) == want
 
     def test_joint_normalization(self):
         state = w_state(3, 2)

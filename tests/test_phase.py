@@ -60,6 +60,30 @@ GOLDEN = {
 }
 
 
+def stepwise_posterior(angles, etas, resolution=1024):
+    """The posterior one factor at a time, renormalized after each: the reference."""
+    grid = PhaseDistribution.uniform_grid(resolution)
+    values = np.full(resolution, 1.0 / TWO_PI)
+    for phi, eta in zip(angles, etas):
+        values = values * (1.0 + eta * np.cos(grid - phi))
+        norm = values.mean() * TWO_PI
+        if norm <= 0.0:
+            raise ConditioningError("history has zero probability")
+        values /= norm
+    return values
+
+
+def emergence_histories(seed):
+    """Classical histories shaped like the benchmark's phase-emergence task."""
+    rng = np.random.default_rng([seed, 2])
+    rng.uniform(-np.pi, np.pi)   # the two angles of the benchmark's grouped task come first
+    rng.uniform(0.5, 2.6)
+    theta = float(rng.uniform(-np.pi, np.pi))
+    angles = [theta, theta + math.pi / 2] * 150
+    rows = sample_sequences(ExperimentConfig(500, 500, tuple(angles)), 30, seed, mode="classical")
+    return angles, [[int(e) for e in row] for row in rows]
+
+
 class TestPosterior:
     def test_empty_history_is_uniform(self):
         dist = phase_posterior([], [])
@@ -87,6 +111,60 @@ class TestPosterior:
         dist = phase_posterior([0.0, 0.0], [1, -1])
         assert dist.integral() == pytest.approx(1.0, abs=1e-12)
         assert dist.values.max() > 0.0
+
+
+    @pytest.mark.parametrize("m", [1, 7, 40, 300])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["two-angles", "distinct-angles"])
+    def test_matches_stepwise_product(self, m, distinct):
+        rng = np.random.default_rng(m)
+        angles = rng.uniform(-np.pi, np.pi, m) if distinct else [0.4, 0.4 + math.pi / 2] * m
+        etas = rng.choice([-1, 1], m)
+        want = stepwise_posterior(angles[:m], etas)
+        got = phase_posterior(angles[:m], etas).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+    def test_permuted_history_is_bit_identical(self):
+        rng = np.random.default_rng(12)
+        angles = rng.choice([0.3, -1.2, 2.5], 200)
+        etas = rng.choice([-1, 1], 200)
+        order = rng.permutation(200)
+        np.testing.assert_array_equal(phase_posterior(angles, etas).values,
+                                      phase_posterior(angles[order], etas[order]).values)
+
+    def test_long_history_stays_finite(self):
+        rng = np.random.default_rng(5)
+        m = 10**5
+        dist = phase_posterior([0.2, 1.1] * (m // 2), rng.choice([-1, 1], m))
+        assert np.isfinite(dist.values).all()
+        assert dist.integral() == pytest.approx(1.0, abs=1e-12)
+
+    def test_vanishing_at_every_node_raises(self):
+        # each -1 result at a grid node's angle zeroes the density at that node
+        grid = PhaseDistribution.uniform_grid(8)
+        with pytest.raises(ConditioningError):
+            phase_posterior(grid, [-1] * 8, resolution=8)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            phase_posterior([0.1, angle], [1, 1])
+
+    @pytest.mark.parametrize("eta", [0, 2, -2])
+    def test_outcome_outside_plus_minus_one_rejected(self, eta):
+        with pytest.raises(ValueError, match="outcomes"):
+            phase_posterior([0.1, 0.2], [1, eta])
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_emergence_statistics_match_stepwise_product(self, seed):
+        angles, histories = emergence_histories(seed)
+        grid = PhaseDistribution.uniform_grid(1024)
+        for etas in histories:
+            for m in (10, 300):
+                got = peak_statistics(phase_posterior(angles[:m], etas[:m]))
+                want = peak_statistics(PhaseDistribution(grid, stepwise_posterior(angles[:m],
+                                                                                  etas[:m])))
+                assert got.count == want.count
+                np.testing.assert_allclose(got.widths, want.widths, rtol=1e-12, atol=0)
 
 
 class TestNextOutcome:
