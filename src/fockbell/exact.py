@@ -46,9 +46,10 @@ _MAX_TREE_M = 20
 
 
 class UnnormalizableConfigError(ValueError):
-    """Raised by the product and plus-count routes when the Lambda rule's weights, of
-    size up to 2**M, overflow a float (very unequal populations and M > ~1000, e.g.
-    n_plus = 0, n_minus = M = 1100).  Single histories never form these weights."""
+    """Raised by the plus-count route when the Lambda rule's weights, of size up to
+    2**M, overflow a float (very unequal populations and M > ~1000, e.g. n_plus = 0,
+    n_minus = M = 1100).  Product averages take only the rule's exact zeroth moment
+    and single histories no weights at all, so neither raises."""
 
 
 def _nodes(k: int) -> np.ndarray:
@@ -150,8 +151,6 @@ class _Bracket:
             moments = np.where((m - k) % 2, 0.0,
                                0.5 * (ratio[(m - k) // 2] + ratio[(m + k) // 2]))
             weights = np.cos(np.outer(theta, k)) @ (np.where(k, 2.0, 1.0) * moments)
-        if not np.all(np.isfinite(weights)):
-            raise UnnormalizableConfigError("Lambda rule weights overflow")
         return cls(np.cos(theta)[:, None], weights[:, None], _nodes(2 * (m + 2))[None, :], m,
                    float(moments[0]))
 
@@ -174,7 +173,10 @@ class _Bracket:
         return self.cos_big.shape[0], self.lam.shape[1]
 
     def weight(self, m: int) -> np.ndarray:
-        """Lambda weight times cos(Lambda)**(M - m), for m measurements."""
+        """Lambda weight times cos(Lambda)**(M - m), for m measurements; raises
+        UnnormalizableConfigError where the weights overflow."""
+        if not np.isfinite(self.weight_big).all():
+            raise UnnormalizableConfigError("Lambda rule weights overflow")
         return self.weight_big * self.cos_big ** (self.m - m)
 
     def transverse(self, phi: float) -> np.ndarray:

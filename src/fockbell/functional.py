@@ -19,7 +19,8 @@ setting's factor is a cosine product in lambda alone and the whole quantity is
 one lambda mean of a product of blocks; a ``bchsh`` quantity with a plus-count
 party is the signed sum of its four averages.  Every such quantity is a
 trigonometric polynomial in the angles, and :func:`_bell_gradient` gives its
-exact derivative by each of them, which the free-angle optimizer climbs.
+exact derivative by each of them, which the free-angle optimizer climbs; a
+plus-count party's derivative reuses the expansions of its value.
 
 The tests hold these against the full outcome table of
 ``exact.all_sequence_probabilities``, the state-vector oracle, the Bell
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
@@ -101,19 +102,33 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _party_value(kernel: exact._Bracket, angles, func: PartyFunctional) -> np.ndarray:
+def _party(kernel: exact._Bracket, angles, func: PartyFunctional, *, slopes: bool = False):
     """The party's values f(k) weighted by its plus-count coefficients, over the grid.
 
     e_k, the coefficient of t**k in prod_j (minus_j + t plus_j), gathers the
     histories with k results +1; the halved brackets keep sum_k |e_k| <= 1.
     Equal angles share one binomial expansion.
+
+    With ``slopes`` also returns the derivative by any one of the party's angles
+    equal to u, over the grid, keyed by each distinct u.  With e'_j the
+    coefficients after taking one result at u away, built from the value's other
+    expansions, it is sin(lambda - u) / 2 times sum_j e'_j (f(j + 1) - f(j)).
     """
-    coeffs = None
-    for phi, total in Counter(angles).items():
-        terms = _run_terms(kernel, phi, total)
-        coeffs = terms if coeffs is None else _convolve(coeffs, terms)
+    counts = Counter(angles)
+    runs = {phi: _run_terms(kernel, phi, total) for phi, total in counts.items()}
+    coeffs = reduce(_convolve, runs.values())
     values = func.values_table(len(angles))
-    return (values @ coeffs.reshape(values.size, -1)).reshape(coeffs.shape[1:])
+    value = (values @ coeffs.reshape(values.size, -1)).reshape(coeffs.shape[1:])
+    if not slopes:
+        return value
+    steps = np.diff(values)
+    by_angle = {}
+    for phi, total in counts.items():
+        coeffs = reduce(_convolve, (terms for other, terms in runs.items() if other != phi),
+                        _run_terms(kernel, phi, total - 1))
+        weighted = (steps @ coeffs.reshape(steps.size, -1)).reshape(coeffs.shape[1:])
+        by_angle[phi] = 0.5 * np.sin(kernel.lam - phi) * weighted
+    return value, by_angle
 
 
 def _coefficient_columns(kernel: exact._Bracket, m: int):
@@ -161,7 +176,7 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
         integrand = part.weight(config.m)
         start = 0
         for count, func in layout:
-            integrand = integrand * _party_value(part, config.angles[start:start + count], func)
+            integrand = integrand * _party(part, config.angles[start:start + count], func)
             start += count
         total += float(integrand.sum())
     return constant * total / math.prod(kernel.shape)
@@ -270,27 +285,6 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     return prefactor * kernel.moment0 * lam_mean + 0.0  # + 0.0: no -0.0
 
 
-def _party_slopes(kernel: exact._Bracket, angles, func: PartyFunctional):
-    """Derivative of :func:`_party_value` by any one of the party's angles equal to u,
-    over the grid, keyed by each distinct u; equal angles share one expansion.
-
-    With e'_j the plus-count coefficients after taking one result at u away, the
-    derivative is sin(lambda - u) / 2 times sum_j e'_j (f(j + 1) - f(j)).
-    """
-    counts = Counter(angles)
-    runs = {phi: _run_terms(kernel, phi, total) for phi, total in counts.items()}
-    steps = np.diff(func.values_table(len(angles)))
-    slopes = {}
-    for phi, total in counts.items():
-        coeffs = _run_terms(kernel, phi, total - 1)
-        for other, terms in runs.items():
-            if other != phi:
-                coeffs = _convolve(coeffs, terms)
-        weighted = (steps @ coeffs.reshape(steps.size, -1)).reshape(coeffs.shape[1:])
-        slopes[phi] = 0.5 * np.sin(kernel.lam - phi) * weighted
-    return slopes
-
-
 def _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law) -> np.ndarray:
     """d bell_value / d phi for every measurement of a bchsh layout with a plus-count
     party, shaped as ``rows``: the one-block product of the four party values."""
@@ -299,11 +293,11 @@ def _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law) -> np.ndarray:
                 for s, (row, keep) in enumerate(zip(rows, mask))]
     out = np.zeros(rows.shape)
     for part in _coefficient_columns(kernel, spec.m):
-        f = np.array([_party_value(part, a, func) for a, func in settings])
-        by_value = part.weight(spec.m) * _block_slopes(f)
-        for s, (a, func) in enumerate(settings):
-            totals = {phi: float((by_value[s] * slope).sum())
-                      for phi, slope in _party_slopes(part, a, func).items()}
+        weight = part.weight(spec.m)  # raises on overflow before any party is expanded
+        parties = [_party(part, a, func, slopes=True) for a, func in settings]
+        by_value = weight * _block_slopes(np.array([f for f, _ in parties]))
+        for s, ((a, _), (_, slopes)) in enumerate(zip(settings, parties)):
+            totals = {phi: float((by_value[s] * slope).sum()) for phi, slope in slopes.items()}
             out[s, :len(a)] += [totals[phi] for phi in a]
     return out / math.prod(kernel.shape)
 
@@ -315,7 +309,7 @@ def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int |
 
     Product layouts differentiate the block product through each setting's
     cosine product, the Gaussian law each cross term's exponent, and plus-count
-    parties their coefficient expansion (see :func:`_party_slopes`).
+    parties their coefficient expansion (see :func:`_party`).
     """
     if n_minus is None:
         n_minus = n_plus

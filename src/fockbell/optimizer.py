@@ -97,7 +97,9 @@ def maximize_fan(spec: BellFunctionalSpec, n: int, p: int | None = None) -> Opti
     On a fan the four correlations collapse to Q(chi) = 3 E(chi) - E(3 chi)
     with E from the closed-form factorial sum, so a coarse scan (the whole
     grid in one call) plus a golden-section refinement over chi in (0, pi/2]
-    suffices; chi is located to 1e-10.
+    suffices.  q_max is reached to the round-off of Q (about 1e-12 at n = 20000);
+    the final bracket on chi is 1e-10 wide, but Q is flat to round-off over a
+    few times 1e-8 of chi, so chi is fixed only that well.
     """
     ca, cb = _require_product_bchsh(spec)
     if p is None:
@@ -168,8 +170,8 @@ def _slot_objective(spec, n_plus, n_minus, law, per_measurement):
 
 def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = None, *,
                   restarts: int = 64, seed: int = 0, law: str = "exact",
-                  per_measurement: bool = False, start_scale: float | None = None,
-                  maxiter: int | None = None) -> OptimizationResult:
+                  per_measurement: bool = False, maxiter: int | None = None
+                  ) -> OptimizationResult:
     """Maximize the Bell quantity over every free angle slot.
 
     Multi-start BFGS on the analytic gradient; a restart stops when the
@@ -179,8 +181,8 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
     pinned to 0, which costs nothing by shift covariance.  The best restart
     wins, ties broken toward the lowest restart index.
 
-    In the gaussian law the optimum shrinks like 1/sqrt(n), so restart boxes
-    are scaled accordingly unless ``start_scale`` is given.
+    Restarts start uniformly in [-pi, pi] per slot; in the gaussian law the
+    optimum shrinks like 1/sqrt(n), so there the box is pi sqrt(parties / n).
     """
     if n_minus is None:
         n_minus = n_plus
@@ -190,11 +192,9 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
     if restarts < 1:
         raise ValueError("need at least one restart")
     value, gradient = _slot_objective(spec, n_plus, n_minus, law, per_measurement)
-    if start_scale is None:
-        if law == "gaussian":
-            start_scale = math.pi * math.sqrt(len(spec.party_layout) / (n_plus + n_minus))
-        else:
-            start_scale = math.pi
+    start_scale = math.pi
+    if law == "gaussian":
+        start_scale *= math.sqrt(len(spec.party_layout) / (n_plus + n_minus))
     ndim = nslots - 1
     options = {"gtol": _GTOL, "maxiter": maxiter or 200 * ndim}
 

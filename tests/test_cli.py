@@ -309,17 +309,19 @@ class TestExitCodes:
             probs = all_sequence_probabilities(ExperimentConfig(0, 1100, tuple(angles)))
             np.testing.assert_allclose(probs, 2.0 ** -len(angles), rtol=1e-13)
 
-    def test_overflowing_rule_weights_is_numeric_error(self, tmp_path, capsys):
-        # the weights reach 2**M for a single Fock state, beyond the float range at M = 1100
+    def test_overflowing_rule_weights_leave_product_at_zero(self, tmp_path, capsys):
+        # the weights reach 2**M for a single Fock state, beyond the float range at
+        # M = 1100; a product average takes only their exact zeroth moment, here 0
         cfg = write(tmp_path, "c.json", {"n_plus": 0, "n_minus": 1100, "angles": [0.1] * 1100})
-        code, _, err = run(capsys, ["correlate", cfg])
-        assert code == 3
-        assert err.startswith("error:")
+        code, out, err = run(capsys, ["correlate", cfg])
+        assert code == 0 and err == ""
+        assert float(out.strip().split(",")[-1]) == 0.0
 
 
 # Malformed JSON values for the fuzz test below.  Numbers stay small: a size
-# such as n_plus = 10**12 asks for a grid that cannot be allocated, which
-# TestExitCodes checks once rather than at every generated example.
+# such as a phase resolution of 10**12 asks for a grid that cannot be
+# allocated, which TestExitCodes checks once (huge-resolution) rather than at
+# every generated example.
 _SPECIALS = [None, True, False, math.inf, -math.inf, math.nan, "", "x", -1, 0.5, [], {}]
 _SCALARS = (st.sampled_from(_SPECIALS) | st.integers(-50, 50) | st.floats(-50, 50)
             | st.text(max_size=4))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from fockbell import exact
+from fockbell import exact, functional
 from fockbell.exact import (
+    UnnormalizableConfigError,
     classical_all_probabilities,
     classical_product_correlation,
     correlation_closed_form,
@@ -142,6 +143,17 @@ class TestExpectation:
         cfg = ExperimentConfig(3, 3, angles)
         want = brute_force_expectation(cfg, layout, classical_all_probabilities(angles))
         assert expectation(cfg, layout, law="classical") == pytest.approx(want, abs=1e-12)
+
+    def test_overflowing_rule_weights_raise(self, monkeypatch):
+        # a single Fock state at M = 1100: the Lambda weights reach 2**M, beyond the
+        # float range, and the plus-count route raises before it expands a party
+        def expand(*args):
+            raise AssertionError("a party was expanded")
+
+        monkeypatch.setattr(functional, "_run_terms", expand)
+        cfg = ExperimentConfig(0, 1100, (0.1,) * 1100)
+        with pytest.raises(UnnormalizableConfigError):
+            expectation(cfg, [(1099, BINNED), (1, PRODUCT)])
 
     def test_layout_counts_must_match(self):
         cfg = ExperimentConfig(2, 2, (0.0, 0.1))
@@ -374,6 +386,15 @@ class TestBellGradient:
         angles = [a, 0.4, rng.uniform(-np.pi, np.pi, bob[0]), -1.3]
         np.testing.assert_allclose(_bell_gradient(spec, angles, 4, 3, law=law),
                                    central_differences(spec, angles, 4, 3, law),
+                                   rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("law, m, n", [("classical", 700, 350), ("exact", 100, 50)])
+    def test_plus_count_long_party(self, law, m, n):
+        # one binned party of m - 1 results against one product result
+        spec = BellFunctionalSpec.bchsh(m - 1, 1, PartyFunctional.binned_sign())
+        angles = np.random.default_rng(101).uniform(-np.pi, np.pi, 4)
+        np.testing.assert_allclose(_bell_gradient(spec, angles, n, n, law=law),
+                                   central_differences(spec, angles, n, n, law),
                                    rtol=0, atol=1e-7)
 
     def test_grid_slices_agree(self, monkeypatch):
