@@ -116,6 +116,8 @@ def _bell_spec(data: dict, n: int) -> tuple[BellFunctionalSpec, str]:
             raise ConfigError(f"p={p} must satisfy 1 <= p <= n-1")
         fa = _functional_from_name(data.get("alice_functional", "product"), zero_policy)
         fb = _functional_from_name(data.get("bob_functional", "product"), zero_policy)
+        if law == "gaussian" and (fa.kind != "product" or fb.kind != "product"):
+            raise ConfigError("the gaussian law needs product functionals")
         return BellFunctionalSpec.bchsh(p, n - p, fa, fb), law
     if form in ("double_bchsh", "triple_bchsh"):
         double = form == "double_bchsh"
@@ -161,6 +163,8 @@ def _maximize(args, data: dict, n: int) -> optimizer.OptimizationResult:
     """The fan or free maximum at particle number ``n``, as ``args.mode`` asks."""
     spec, law = _bell_spec(data, n)
     if args.mode == "fan":
+        if law != "exact":
+            raise ConfigError("fan mode takes the exact closed form, so law must be 'exact'")
         if spec.form != "bchsh" or any(f.kind != "product" for _, f in spec.party_layout):
             raise ConfigError("fan mode applies to the bchsh form with product functionals")
         return optimizer.maximize_fan(spec, n)

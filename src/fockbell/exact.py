@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import lgamma
 
 import numpy as np
+from scipy.fft import dct
 from scipy.special import xlogy
 
 from .model import ExperimentConfig, OutcomeSequence
@@ -117,14 +118,18 @@ class _Bracket:
 
     A statistic of m <= M measurements is the grid mean of ``weight(m)`` times
     the brackets cos(Lambda) + eta_j cos(lambda - phi_j), over 2**m.  Lambda runs
-    along axis 0, lambda along axis 1, and lambda has 2(M + 2) trapezoid nodes.
+    along axis 0, lambda along axis 1.  Each bracket, cosine or sine of lambda is
+    of degree 1 in lambda, so every integrand is of degree at most M there, and
+    M + 1 trapezoid nodes integrate it exactly; the quantum grid has (M + 1)**2
+    cells.
 
     Quantum law: with x = cos(Lambda) and d = n_plus - n_minus the Lambda
     integrand is T_d(x) x**(N - M) p(x) / C_N, where p is x**(M - m) times the
     bracket product, a polynomial of degree M.  Its values at the M + 1
     Chebyshev points x_i fix it, and the integral of T_d x**(N - M) T_k / C_N
     is a ratio of binomials (the modified moment), so weights w_i make the
-    rule exact; weight(m) = w_i x_i**(M - m).  Nothing grows with N.
+    rule exact; weight(m) = w_i x_i**(M - m).  The weights are one type-III
+    DCT of the moments.  Nothing grows with N.
     The classical-phase law is the single node x = 1 with weight 1.
     """
 
@@ -150,15 +155,16 @@ class _Bracket:
             # mu(j, q) = C(j, (j + q)/2) / 2**j the integral of cos(q L) cos(L)**j
             moments = np.where((m - k) % 2, 0.0,
                                0.5 * (ratio[(m - k) // 2] + ratio[(m + k) // 2]))
-            weights = np.cos(np.outer(theta, k)) @ (np.where(k, 2.0, 1.0) * moments)
-        return cls(np.cos(theta)[:, None], weights[:, None], _nodes(2 * (m + 2))[None, :], m,
+        # w_i = sum_k (2 - delta_k0) moments_k cos(k theta_i), a type-III DCT
+        weights = dct(moments, type=3)
+        return cls(np.cos(theta)[:, None], weights[:, None], _nodes(m + 1)[None, :], m,
                    float(moments[0]))
 
     @classmethod
     @lru_cache(maxsize=32)
     def classical(cls, m: int) -> "_Bracket":
         one = np.ones((1, 1))
-        return cls(one, one, _nodes(2 * (m + 2))[None, :], m, 1.0)
+        return cls(one, one, _nodes(m + 1)[None, :], m, 1.0)
 
     @classmethod
     def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":

@@ -8,10 +8,12 @@ party's results are +1, so two routes cover every layout:
 
 * a pure-product fast path (one product-correlation integral),
 * a plus-count route: on the quadrature grid of ``exact._Bracket``, which
-  has 2(M + 1)(M + 2) cells at any particle number, each party's bracket
-  product is expanded in powers of t, the power counting its +1 results, and
-  the coefficients are weighted with the party's values.  Its cost is
-  polynomial in the measurement count and independent of N.
+  has (M + 1)**2 cells at any particle number (Chebyshev Lambda nodes whose
+  weights are one type-III DCT of closed-form moments, and equispaced lambda
+  nodes), each party's bracket product is expanded in powers of t, the power
+  counting its +1 results, and the coefficients are weighted with the party's
+  values.  Its cost is polynomial in the measurement count and independent
+  of N.
 
 :func:`bell_value` takes a Bell quantity, a signed sum of such averages with
 one grid weight.  Where every party keeps the product of its results, each

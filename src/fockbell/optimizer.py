@@ -1,10 +1,11 @@
 """Maximization of Bell quantities over measurement angles.
 
 Two modes: a one-parameter fan search for product BCHSH (where the closed
-form makes very large particle numbers cheap), and a multi-start
-quasi-Newton (BFGS) search over all free angle slots on the analytic
-gradient of the Bell value.  Restart start points come from a counter-based
-splitmix stream, so every result is reproducible from the seed alone.
+form makes very large particle numbers cheap: a grid scan, then a bounded
+Brent refinement), and a multi-start quasi-Newton (BFGS) search over all
+free angle slots on the analytic gradient of the Bell value.  Restart start
+points come from a counter-based splitmix stream, so every result is
+reproducible from the seed alone.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .exact import _closed_form_sum, correlation_closed_form
 from .functional import _bell_gradient, bell_value
@@ -78,7 +79,6 @@ class OptimizationResult:
     chi: float | None
     restarts_used: int
     converged: bool
-    spec: BellFunctionalSpec = field(repr=False, default=None)
     restarts: tuple[RestartRecord, ...] = field(repr=False, default=())
 
 
@@ -91,20 +91,18 @@ def _require_product_bchsh(spec: BellFunctionalSpec) -> tuple[int, int]:
     return ca, cb
 
 
-def maximize_fan(spec: BellFunctionalSpec, n: int, p: int | None = None) -> OptimizationResult:
+def maximize_fan(spec: BellFunctionalSpec, n: int) -> OptimizationResult:
     """Maximize the product-BCHSH quantity over fan-arranged settings.
 
     On a fan the four correlations collapse to Q(chi) = 3 E(chi) - E(3 chi)
     with E from the closed-form factorial sum, so a coarse scan (the whole
-    grid in one call) plus a golden-section refinement over chi in (0, pi/2]
+    grid in one call) plus a bounded Brent refinement over chi in (0, pi/2]
     suffices.  q_max is reached to the round-off of Q (about 1e-12 at n = 20000);
-    the final bracket on chi is 1e-10 wide, but Q is flat to round-off over a
-    few times 1e-8 of chi, so chi is fixed only that well.
+    the refinement stops at a chi tolerance of 1e-10, but Q is flat to round-off
+    over a few times 1e-8 of chi, so chi is fixed only that well.
     """
-    ca, cb = _require_product_bchsh(spec)
-    if p is None:
-        p = ca
-    if p != ca or ca + cb != n:
+    p, cb = _require_product_bchsh(spec)
+    if p + cb != n:
         raise ValueError("spec layout must assign p measurements to Alice and n-p to Bob")
     if n % 2:
         raise ValueError("closed form requires equal populations, so n must be even")
@@ -112,60 +110,19 @@ def maximize_fan(spec: BellFunctionalSpec, n: int, p: int | None = None) -> Opti
     def q(chi: float) -> float:
         return 3.0 * correlation_closed_form(n, p, chi) - correlation_closed_form(n, p, 3.0 * chi)
 
-    lo, hi = 1e-9, math.pi / 2
-    grid = np.linspace(lo, hi, 4097)
+    grid = np.linspace(1e-9, math.pi / 2, 4097)
     values = 3.0 * _closed_form_sum(n, p, grid) - _closed_form_sum(n, p, 3.0 * grid)
     i = int(np.argmax(values))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    qc, qd = q(c), q(d)
-    while b - a > 1e-10:
-        if qc > qd:
-            b, d, qd = d, c, qc
-            c = b - inv_phi * (b - a)
-            qc = q(c)
-        else:
-            a, c, qc = c, d, qd
-            d = a + inv_phi * (b - a)
-            qd = q(d)
-    chi = 0.5 * (a + b)
+    bracket = (grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+    chi = float(minimize_scalar(lambda c: -q(c), bounds=bracket, method="bounded",
+                                options={"xatol": 1e-10}).x)
     return OptimizationResult(
         q_max=q(chi),
         angles=np.array(FanAngles(chi).bchsh_settings()),
         chi=chi,
         restarts_used=1,
         converged=True,
-        spec=spec,
     )
-
-
-def _free_slot_count(spec: BellFunctionalSpec, per_measurement: bool) -> int:
-    if spec.form == "bchsh":
-        return spec.angle_slots if per_measurement else 4
-    return spec.angle_slots
-
-
-def _slot_objective(spec, n_plus, n_minus, law, per_measurement):
-    """The Bell value and its gradient as functions of the flat slot vector."""
-    if spec.form == "bchsh" and per_measurement:
-        (ca, _), (cb, _) = spec.party_layout
-        cuts = np.cumsum([ca, ca, cb])
-
-        def settings(slots: np.ndarray) -> list:
-            return np.split(slots, cuts)
-    else:
-        def settings(slots: np.ndarray) -> np.ndarray:
-            return slots
-
-    def value(slots: np.ndarray) -> float:
-        return bell_value(spec, settings(slots), n_plus, n_minus, law=law)
-
-    def gradient(slots: np.ndarray) -> np.ndarray:
-        return _bell_gradient(spec, settings(slots), n_plus, n_minus, law=law)
-    return value, gradient
 
 
 def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = None, *,
@@ -186,23 +143,29 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
     """
     if n_minus is None:
         n_minus = n_plus
-    nslots = _free_slot_count(spec, per_measurement)
+    per_measurement = per_measurement and spec.form == "bchsh"
+    nslots = spec.angle_slots if per_measurement else 4 * spec.block_count
     if nslots > _MAX_FREE_SLOTS:
         raise ValueError(f"{nslots} angle slots exceed the supported {_MAX_FREE_SLOTS}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    value, gradient = _slot_objective(spec, n_plus, n_minus, law, per_measurement)
     start_scale = math.pi
     if law == "gaussian":
         start_scale *= math.sqrt(len(spec.party_layout) / (n_plus + n_minus))
     ndim = nslots - 1
     options = {"gtol": _GTOL, "maxiter": maxiter or 200 * ndim}
+    cuts = np.cumsum([c for c, _ in spec.party_layout for _ in range(2)])[:-1]
+
+    def settings(x: np.ndarray):
+        """Every slot with the first pinned to 0, one vector per setting if per measurement."""
+        slots = np.concatenate([[0.0], x])
+        return np.split(slots, cuts) if per_measurement else slots
 
     def negative(x: np.ndarray) -> float:
-        return -value(np.concatenate([[0.0], x]))
+        return -bell_value(spec, settings(x), n_plus, n_minus, law=law)
 
     def negative_slope(x: np.ndarray) -> np.ndarray:
-        return -gradient(np.concatenate([[0.0], x]))[1:]
+        return -_bell_gradient(spec, settings(x), n_plus, n_minus, law=law)[1:]
 
     def run_restart(index: int):
         x0 = np.array([
@@ -229,7 +192,6 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
         chi=None,
         restarts_used=restarts,
         converged=best.converged,
-        spec=spec,
         restarts=tuple(records),
     )
 

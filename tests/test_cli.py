@@ -268,6 +268,24 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv,payload", [
+        (["qmax", "{spec}", "--mode", "free", "--restarts", "1"],
+         {"form": "bchsh", "n": 4, "p": 2, "alice_functional": "binned_sign", "law": "gaussian"}),
+        (["scan", "{spec}", "--n-min", "4", "--n-max", "4", "--mode", "free", "--restarts", "1"],
+         {"form": "bchsh", "p": 2, "bob_functional": "pair_average", "law": "gaussian"}),
+        (["qmax", "{spec}", "--mode", "fan"], {"form": "bchsh", "n": 4, "p": 2, "law": "gaussian"}),
+        (["scan", "{spec}", "--n-min", "4", "--n-max", "6", "--mode", "fan"],
+         {"form": "bchsh", "p": 2, "law": "gaussian"}),
+    ], ids=["qmax-free-binned", "scan-free-pair-average", "qmax-fan", "scan-fan"])
+    def test_gaussian_law_out_of_reach_is_config_error(self, tmp_path, capsys, argv, payload):
+        # the Gaussian approximation covers product functionals only, and the fan
+        # search evaluates the exact closed form, so neither may take the law
+        spec = write(tmp_path, "s.json", payload)
+        code, out, err = run(capsys, [a.format(spec=spec) for a in argv])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     @pytest.mark.parametrize("command,payload", [
         ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**12}),
     ], ids=["huge-resolution"])

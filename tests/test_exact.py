@@ -62,7 +62,7 @@ class TestQuadratureRule:
         # every j <= M, so every polynomial of degree M in cos(L); round-off
         # scales with the weights, which reach 2**M for a single Fock state
         kernel = _Bracket.quantum(n_plus, n_minus, m)
-        assert kernel.shape == (m + 1, 2 * (m + 2))
+        assert kernel.shape == (m + 1, m + 1)
         n, d = n_plus + n_minus, n_plus - n_minus
         tol = 1e-15 * max(1.0, float(np.abs(kernel.weight_big).sum()))
         for j in range(m + 1):
@@ -78,15 +78,17 @@ class TestQuadratureRule:
 
     @pytest.mark.parametrize("k,degree", [(8, 5), (16, 13), (30, 29)])
     def test_exact_below_node_count(self, k, degree):
-        # K = 2(M + 2) equispaced lambda nodes for either law; the node mean of
-        # cos(d*x + 0.3), its integral over dx/2pi, vanishes for 1 <= d < K
-        m = k // 2 - 2
+        # K = M + 1 equispaced lambda nodes for either law, as many as the integrands'
+        # degree M in lambda needs: the node mean of cos(d*x + 0.3), its integral
+        # over dx/2pi, vanishes for 1 <= d <= M, and at d = K it does not
+        m = k - 1
         kernel = _Bracket.quantum(m + 3, m, m)
         assert kernel.shape == (m + 1, k)
         nodes = kernel.lam.ravel()
         assert np.array_equal(nodes, _Bracket.classical(m).lam.ravel())
         assert _Bracket.classical(m).shape == (1, k)
         assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
+        assert abs(np.mean(np.cos(k * nodes + 0.3))) == pytest.approx(math.cos(0.3))
 
 
 class TestNormalizationCn:
@@ -531,9 +533,9 @@ class TestAnyPopulation:
             assert correlation_e(ExperimentConfig(n_plus, n_minus, row)) == 0.0
 
     def test_cost_does_not_grow_with_n(self):
-        # the rule has M + 1 Lambda nodes and 2(M + 2) lambda nodes at any N
+        # the rule has M + 1 Lambda nodes and M + 1 lambda nodes at any N
         kernel = _Bracket.quantum(10**12, 10**12 + 4, 6)
-        assert kernel.shape == (7, 16)
+        assert kernel.shape == (7, 7)
 
 
 class TestClassicalLaw:
