@@ -71,6 +71,7 @@ def _cases(kinds=(None,)):
 PLUS_COUNT_CASES = _cases()
 BELL_CASES = _cases(("product", "binned"))
 
+
 def falling(a, s):
     return math.prod(range(a - s + 1, a + 1)) if s <= a else 0
 
