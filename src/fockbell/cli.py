@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 usage or malformed config, 3 numeric infeasibility.
 All output is locale-independent ('.' decimal point, 15 significant digits)
 and deterministic given config plus seed.
+Only ``qmax`` and ``scan`` load SciPy, at their first search; ``correlate``,
+``sample``, ``phase`` and ``oracle-check`` start without it.
 """
 from __future__ import annotations
 
@@ -118,6 +120,10 @@ def _bell_spec(data: dict, n: int) -> tuple[BellFunctionalSpec, str]:
         fb = _functional_from_name(data.get("bob_functional", "product"), zero_policy)
         if law == "gaussian" and (fa.kind != "product" or fb.kind != "product"):
             raise ConfigError("the gaussian law needs product functionals")
+        for party, count, f in (("alice", p, fa), ("bob", n - p, fb)):
+            if f.kind == "pair_average" and count != 2:
+                raise ConfigError(f"{party}_functional pair_average needs exactly 2 "
+                                  f"measurements, got {count}")
         return BellFunctionalSpec.bchsh(p, n - p, fa, fb), law
     if form in ("double_bchsh", "triple_bchsh"):
         double = form == "double_bchsh"

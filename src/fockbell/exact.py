@@ -17,12 +17,10 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lgamma
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import xlogy
 
 from .model import ExperimentConfig, OutcomeSequence
 
@@ -129,19 +127,20 @@ class _Bracket:
     Chebyshev points x_i fix it, and the integral of T_d x**(N - M) T_k / C_N
     is a ratio of binomials (the modified moment), so weights w_i make the
     rule exact; weight(m) = w_i x_i**(M - m).  The weights are one type-III
-    DCT of the moments.  Nothing grows with N.
-    The classical-phase law is the single node x = 1 with weight 1.
+    DCT of the moments, built when ``weight`` first asks for them: only
+    plus-count parties read them, product averages take the exact zeroth
+    moment alone.  Nothing grows with N.
+    The classical-phase law is the single node x = 1 with moment, so weight, 1.
     """
 
     cos_big: np.ndarray      # cos(Lambda) node x_i, shape (K_Lambda, 1)
-    weight_big: np.ndarray   # Lambda weight w_i, shape (K_Lambda, 1)
+    moments: np.ndarray      # modified moments of T_0..T_(K_Lambda - 1), shape (K_Lambda,)
     lam: np.ndarray          # lambda nodes, shape (1, K_lambda)
     m: int                   # measurements the rule is built for
-    moment0: float           # mean of weight(M), exactly (0 where it vanishes)
 
     def __post_init__(self) -> None:
         # instances are cached and shared, so their arrays must stay as built
-        for a in (self.cos_big, self.weight_big, self.lam):
+        for a in (self.cos_big, self.moments, self.lam):
             a.flags.writeable = False
 
     @classmethod
@@ -155,16 +154,12 @@ class _Bracket:
             # mu(j, q) = C(j, (j + q)/2) / 2**j the integral of cos(q L) cos(L)**j
             moments = np.where((m - k) % 2, 0.0,
                                0.5 * (ratio[(m - k) // 2] + ratio[(m + k) // 2]))
-        # w_i = sum_k (2 - delta_k0) moments_k cos(k theta_i), a type-III DCT
-        weights = dct(moments, type=3)
-        return cls(np.cos(theta)[:, None], weights[:, None], _nodes(m + 1)[None, :], m,
-                   float(moments[0]))
+        return cls(np.cos(theta)[:, None], moments, _nodes(m + 1)[None, :], m)
 
     @classmethod
     @lru_cache(maxsize=32)
     def classical(cls, m: int) -> "_Bracket":
-        one = np.ones((1, 1))
-        return cls(one, one, _nodes(m + 1)[None, :], m, 1.0)
+        return cls(np.ones((1, 1)), np.ones(1), _nodes(m + 1)[None, :], m)
 
     @classmethod
     def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
@@ -177,6 +172,22 @@ class _Bracket:
     @property
     def shape(self) -> tuple[int, int]:
         return self.cos_big.shape[0], self.lam.shape[1]
+
+    @property
+    def moment0(self) -> float:
+        """Mean of weight(M), exactly (0 where it vanishes)."""
+        return float(self.moments[0])
+
+    @cached_property
+    def weight_big(self) -> np.ndarray:
+        """Lambda weight w_i, shape (K_Lambda, 1)."""
+        # imported here, not at module level: SciPy takes most of a cold start
+        from scipy.fft import dct
+
+        # w_i = sum_k (2 - delta_k0) moments_k cos(k theta_i), a type-III DCT
+        weights = dct(self.moments, type=3)[:, None]
+        weights.flags.writeable = False
+        return weights
 
     def weight(self, m: int) -> np.ndarray:
         """Lambda weight times cos(Lambda)**(M - m), for m measurements; raises
@@ -211,8 +222,11 @@ class _Bracket:
         if width >= k_lam:
             yield self
             return
+        weights = self.weight_big
         for start in range(0, k_lam, width):
-            yield replace(self, lam=self.lam[:, start:start + width])
+            part = replace(self, lam=self.lam[:, start:start + width])
+            part.__dict__["weight_big"] = weights  # the slices share the Lambda rule
+            yield part
 
 
 @lru_cache(maxsize=1024)
@@ -393,6 +407,9 @@ def _closed_form_sum(n: int, p: int, chi) -> np.ndarray:
     log_c, k = _closed_form_log_coefficients(n, p)[:, None], np.arange(p // 2 + 1)[:, None]
     x = np.atleast_1d(np.asarray(chi, dtype=float))
     width = max(1, 2**18 // k.size)
+
+    # imported here, not at module level: SciPy takes most of a cold start
+    from scipy.special import xlogy
 
     def part(s: np.ndarray) -> np.ndarray:
         sin, cos = np.abs(np.sin(s)), np.cos(s)

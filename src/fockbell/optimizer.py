@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .exact import _closed_form_sum, correlation_closed_form
 from .functional import _bell_gradient, bell_value
@@ -101,6 +100,9 @@ def maximize_fan(spec: BellFunctionalSpec, n: int) -> OptimizationResult:
     the refinement stops at a chi tolerance of 1e-10, but Q is flat to round-off
     over a few times 1e-8 of chi, so chi is fixed only that well.
     """
+    # imported here, not at module level: SciPy takes most of a cold start
+    from scipy.optimize import minimize_scalar
+
     p, cb = _require_product_bchsh(spec)
     if p + cb != n:
         raise ValueError("spec layout must assign p measurements to Alice and n-p to Bob")
@@ -141,6 +143,9 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
     Restarts start uniformly in [-pi, pi] per slot; in the gaussian law the
     optimum shrinks like 1/sqrt(n), so there the box is pi sqrt(parties / n).
     """
+    # imported here, not at module level: SciPy takes most of a cold start
+    from scipy.optimize import minimize
+
     if n_minus is None:
         n_minus = n_plus
     per_measurement = per_measurement and spec.form == "bchsh"

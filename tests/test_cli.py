@@ -286,6 +286,21 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv,payload", [
+        (["qmax", "{spec}", "--mode", "free", "--restarts", "1"],
+         {"form": "bchsh", "p": 1, "bob_functional": "pair_average", "n": 6}),
+        (["scan", "{spec}", "--n-min", "4", "--n-max", "4", "--mode", "free", "--restarts", "1"],
+         {"form": "bchsh", "p": 1, "bob_functional": "pair_average"}),
+    ], ids=["qmax", "scan"])
+    def test_pair_average_off_two_measurements_is_config_error(self, tmp_path, capsys, argv,
+                                                               payload):
+        # Bob makes n - 1 measurements, not the 2 the pair average is defined on
+        spec = write(tmp_path, "s.json", payload)
+        code, out, err = run(capsys, [a.format(spec=spec) for a in argv])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     @pytest.mark.parametrize("command,payload", [
         ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**12}),
     ], ids=["huge-resolution"])

@@ -90,6 +90,16 @@ class TestQuadratureRule:
         assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
         assert abs(np.mean(np.cos(k * nodes + 0.3))) == pytest.approx(math.cos(0.3))
 
+    def test_column_slices_share_the_lambda_weights(self):
+        # the weights are built on first use, once per rule: every lambda slice
+        # carries the whole rule's array instead of building its own
+        kernel = _Bracket.quantum(7, 5, 12)
+        parts = list(kernel.columns(4))
+        assert len(parts) == 4
+        assert all(part.weight_big is kernel.weight_big for part in parts)
+        assert np.array_equal(np.concatenate([p.lam for p in parts], axis=1), kernel.lam)
+        assert _Bracket.classical(3).weight_big.tolist() == [[1.0]]
+
 
 class TestNormalizationCn:
     def test_empty_product(self):
