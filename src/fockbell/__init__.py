@@ -7,7 +7,6 @@ cross-checks everything against a brute-force state-vector oracle, and
 simulates sequential measurements with the emerging relative phase.
 """
 from .exact import (
-    UnnormalizableConfigError,
     all_sequence_probabilities,
     classical_all_probabilities,
     classical_product_correlation,
@@ -69,7 +68,6 @@ __all__ = [
     "PhaseDistribution",
     "RestartRecord",
     "SpinStateVector",
-    "UnnormalizableConfigError",
     "all_sequence_probabilities",
     "bell_value",
     "classical_all_probabilities",

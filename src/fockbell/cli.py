@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import exact, optimizer, oracle, phase
-from .exact import UnnormalizableConfigError
 from .model import (MIN_RESOLUTION, BellFunctionalSpec, ExperimentConfig, OutcomeSequence,
                     PartyFunctional)
 
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (UnnormalizableConfigError, phase.ConditioningError) as err:
+    except phase.ConditioningError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as err:

@@ -1,23 +1,23 @@
 """Exact evaluation of measurement statistics for a double Fock state.
 
-A statistic that sums over outcome histories (a product average, a plus-count
-party) is an integral over two angles (Lambda, lambda) of a polynomial in
-cos(Lambda) and a trigonometric polynomial in lambda, so a Chebyshev rule on
-cos(Lambda) and an equispaced trapezoid rule on lambda integrate it exactly (to
-round-off) with a node count set by the number of measurements alone, whatever
-the particle number.  The probability of a single history needs no grid: it is a
-weighted sum over the M + 1 coefficients of one polynomial (:class:`_History`).
-The closed-form combinatoric routes (factorial sum, correction factor, Gaussian
-approximation) are kept alongside the quadrature routes; the test suite holds
-the two against each other.
+The probability of a single history is a weighted sum over the M + 1
+coefficients of one polynomial (:class:`_History`), with the weights of the
+Dicke states of the measured spins kept as logs, so nothing grows with N.  A
+product average is an integral over two angles (Lambda, lambda) that
+separates: the Lambda integral is one closed-form moment and the lambda
+integrand a trigonometric polynomial of degree M, which M + 1 equispaced
+nodes integrate exactly (:class:`_Bracket`).  Plus-count parties take the
+same Dicke weights in ``functional``.  The closed-form combinatoric routes
+(factorial sum, correction factor, Gaussian approximation) are kept alongside;
+the test suite holds the routes against each other.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from .model import ExperimentConfig, OutcomeSequence
 
 __all__ = [
-    "UnnormalizableConfigError",
     "normalization_cn",
     "sequence_probability",
     "all_sequence_probabilities",
@@ -42,13 +41,6 @@ __all__ = [
 # Memory ceiling for the vectorized outcome trees, in float64 elements.
 _TREE_BUDGET = 2 * 10**7
 _MAX_TREE_M = 20
-
-
-class UnnormalizableConfigError(ValueError):
-    """Raised by the plus-count route when the Lambda rule's weights, of size up to
-    2**M, overflow a float (very unequal populations and M > ~1000, e.g. n_plus = 0,
-    n_minus = M = 1100).  Product averages take only the rule's exact zeroth moment
-    and single histories no weights at all, so neither raises."""
 
 
 def _nodes(k: int) -> np.ndarray:
@@ -111,55 +103,36 @@ def _others(factors: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Bracket:
-    """The (Lambda, lambda) quadrature behind the sums over histories: product
-    averages and plus-count parties.
+    """The (Lambda, lambda) integral behind the product averages.
 
-    A statistic of m <= M measurements is the grid mean of ``weight(m)`` times
-    the brackets cos(Lambda) + eta_j cos(lambda - phi_j), over 2**m.  Lambda runs
-    along axis 0, lambda along axis 1.  Each bracket, cosine or sine of lambda is
-    of degree 1 in lambda, so every integrand is of degree at most M there, and
-    M + 1 trapezoid nodes integrate it exactly; the quantum grid has (M + 1)**2
-    cells.
+    Summed over its outcome each bracket cos(Lambda) + eta cos(lambda - phi)
+    leaves 2 cos(lambda - phi), so a product average separates: a Lambda
+    integral, the closed-form moment ``moment0``, times the lambda mean of a
+    product of cosines.  That product is of degree at most M in lambda, and
+    M + 1 equispaced trapezoid nodes integrate it exactly.
 
-    Quantum law: with x = cos(Lambda) and d = n_plus - n_minus the Lambda
-    integrand is T_d(x) x**(N - M) p(x) / C_N, where p is x**(M - m) times the
-    bracket product, a polynomial of degree M.  Its values at the M + 1
-    Chebyshev points x_i fix it, and the integral of T_d x**(N - M) T_k / C_N
-    is a ratio of binomials (the modified moment), so weights w_i make the
-    rule exact; weight(m) = w_i x_i**(M - m).  The weights are one type-III
-    DCT of the moments, built when ``weight`` first asks for them: only
-    plus-count parties read them, product averages take the exact zeroth
-    moment alone.  Nothing grows with N.
-    The classical-phase law is the single node x = 1 with moment, so weight, 1.
+    Quantum law: the moment is 2**M C(N - M, n_plus - M/2) / C(N, n_plus) for
+    even M, a ratio of binomials, and 0 for odd M.  The classical-phase law has
+    moment 1.  Nothing grows with N.
     """
 
-    cos_big: np.ndarray      # cos(Lambda) node x_i, shape (K_Lambda, 1)
-    moments: np.ndarray      # modified moments of T_0..T_(K_Lambda - 1), shape (K_Lambda,)
-    lam: np.ndarray          # lambda nodes, shape (1, K_lambda)
-    m: int                   # measurements the rule is built for
+    moment0: float       # the Lambda integral, exactly (0 where it vanishes)
+    lam: np.ndarray      # lambda nodes, shape (1, K_lambda)
 
     def __post_init__(self) -> None:
         # instances are cached and shared, so their arrays must stay as built
-        for a in (self.cos_big, self.moments, self.lam):
-            a.flags.writeable = False
+        self.lam.flags.writeable = False
 
     @classmethod
     @lru_cache(maxsize=32)
     def quantum(cls, n_plus: int, n_minus: int, m: int) -> "_Bracket":
-        # ratio[s] = 2**m C(N - m, n_plus - s) / C(N, n_plus)
-        ratio, k = _falling_ratio(n_plus, n_minus, m), np.arange(m + 1)
-        theta = np.pi * (k + 0.5) / (m + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # moment of T_k: [mu(N - m, d + k) + mu(N - m, d - k)] / 2 C_N, with
-            # mu(j, q) = C(j, (j + q)/2) / 2**j the integral of cos(q L) cos(L)**j
-            moments = np.where((m - k) % 2, 0.0,
-                               0.5 * (ratio[(m - k) // 2] + ratio[(m + k) // 2]))
-        return cls(np.cos(theta)[:, None], moments, _nodes(m + 1)[None, :], m)
+        moment = 0.0 if m % 2 else float(_falling_ratio(n_plus, n_minus, m)[m // 2])
+        return cls(moment, _nodes(m + 1)[None, :])
 
     @classmethod
     @lru_cache(maxsize=32)
     def classical(cls, m: int) -> "_Bracket":
-        return cls(np.ones((1, 1)), np.ones(1), _nodes(m + 1)[None, :], m)
+        return cls(1.0, _nodes(m + 1)[None, :])
 
     @classmethod
     def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
@@ -168,37 +141,6 @@ class _Bracket:
         if law == "classical":
             return cls.classical(m)
         raise ValueError(f"unknown probability law {law!r}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.cos_big.shape[0], self.lam.shape[1]
-
-    @property
-    def moment0(self) -> float:
-        """Mean of weight(M), exactly (0 where it vanishes)."""
-        return float(self.moments[0])
-
-    @cached_property
-    def weight_big(self) -> np.ndarray:
-        """Lambda weight w_i, shape (K_Lambda, 1)."""
-        # imported here, not at module level: SciPy takes most of a cold start
-        from scipy.fft import dct
-
-        # w_i = sum_k (2 - delta_k0) moments_k cos(k theta_i), a type-III DCT
-        weights = dct(self.moments, type=3)[:, None]
-        weights.flags.writeable = False
-        return weights
-
-    def weight(self, m: int) -> np.ndarray:
-        """Lambda weight times cos(Lambda)**(M - m), for m measurements; raises
-        UnnormalizableConfigError where the weights overflow."""
-        if not np.isfinite(self.weight_big).all():
-            raise UnnormalizableConfigError("Lambda rule weights overflow")
-        return self.weight_big * self.cos_big ** (self.m - m)
-
-    def transverse(self, phi: float) -> np.ndarray:
-        """cos(lambda - phi)."""
-        return np.cos(self.lam - phi)
 
     def cosine_products(self, rows: np.ndarray, mask=True, *, slopes: bool = False):
         """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that
@@ -214,19 +156,6 @@ class _Bracket:
         if not slopes:
             return products
         return products, np.sin(transverse) * _others(cosines, axis=1)
-
-    def columns(self, width: int):
-        """The grid in slices of at most ``width`` lambda nodes; their cell sums add up
-        to the whole grid's."""
-        k_lam = self.lam.shape[1]
-        if width >= k_lam:
-            yield self
-            return
-        weights = self.weight_big
-        for start in range(0, k_lam, width):
-            part = replace(self, lam=self.lam[:, start:start + width])
-            part.__dict__["weight_big"] = weights  # the slices share the Lambda rule
-            yield part
 
 
 @lru_cache(maxsize=1024)
@@ -343,11 +272,8 @@ class _History:
 def _product(kernel: _Bracket, rows) -> np.ndarray:
     """Product-of-results averages, one per angle row of the (R, M) array ``rows``.
 
-    Summed over its outcome each bracket leaves 2 cos(lambda - phi), so the
-    integrand separates: the Lambda mean of the weight times the lambda mean
-    of the cosine product.  The first is the kernel's closed-form moment of
-    T_0, exactly 0 for odd M and for |d| > N - M, where the node mean of the
-    large weights would be round-off.
+    The kernel's closed-form moment times the lambda mean of the cosine
+    product; the moment is exactly 0 for odd M and for |n_plus - n_minus| > N - M.
     """
     lam_mean = kernel.cosine_products(np.asarray(rows, dtype=float)).mean(axis=1)
     return kernel.moment0 * lam_mean + 0.0  # + 0.0 turns a vanishing -0.0 into 0.0

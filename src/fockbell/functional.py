@@ -7,27 +7,28 @@ approximation).  Every party functional depends only on how many of the
 party's results are +1, so two routes cover every layout:
 
 * a pure-product fast path (one product-correlation integral),
-* a plus-count route: on the quadrature grid of ``exact._Bracket``, which
-  has (M + 1)**2 cells at any particle number (Chebyshev Lambda nodes whose
-  weights are one type-III DCT of closed-form moments, and equispaced lambda
-  nodes), each party's bracket product is expanded in powers of t, the power
-  counting its +1 results, and the coefficients are weighted with the party's
-  values.  Its cost is polynomial in the measurement count and independent
-  of N.
+* a plus-count route on Dicke states: the M measured spins of a double Fock
+  state are in a mixture of Dicke states |M, a> with weights p_a >= 0, and a
+  party is the matrix R = sum_k f(k) P_k over its own Dicke states, P_k the
+  projector on k of its results +1 (see :func:`_party`).  Parties couple
+  through the stretched Clebsch-Gordan weights, and the value is
+  sum_a p_a <M, a| R_A (x) R_B (x) ... |M, a>.  Every step is a contraction,
+  so the error stays at round-off for any M and any populations, and nothing
+  grows with N.
 
-:func:`bell_value` takes a Bell quantity, a signed sum of such averages with
-one grid weight.  Where every party keeps the product of its results, each
-setting's factor is a cosine product in lambda alone and the whole quantity is
-one lambda mean of a product of blocks; a ``bchsh`` quantity with a plus-count
-party is the signed sum of its four averages.  Every such quantity is a
-trigonometric polynomial in the angles, and :func:`_bell_gradient` gives its
-exact derivative by each of them, which the free-angle optimizer climbs; a
-plus-count party's derivative reuses the expansions of its value.
+:func:`bell_value` takes a Bell quantity, a signed sum of such averages.
+Where every party keeps the product of its results, each setting's factor is
+a cosine product in lambda alone and the whole quantity is one lambda mean of
+a product of blocks; a ``bchsh`` quantity with a plus-count party is the
+signed sum of its four averages.  Every such quantity is a trigonometric
+polynomial in the angles, and :func:`_bell_gradient` gives its exact
+derivative by each of them, which the free-angle optimizer climbs; a
+plus-count party's matrix moves with its angle as dR/dphi = -i (J R - R J).
 
 The tests hold these against the full outcome table of
-``exact.all_sequence_probabilities``, the state-vector oracle, the Bell
-quantities' cross terms summed one at a time and, for the derivatives,
-central differences.
+``exact.all_sequence_probabilities``, the state-vector oracle, exact integer
+sums, the Bell quantities' cross terms summed one at a time and, for the
+derivatives, central differences.
 """
 from __future__ import annotations
 
@@ -66,78 +67,146 @@ def _check_layout(config: ExperimentConfig, layout):
     return kept, constant
 
 
-@lru_cache(maxsize=64)
-def _expansion(r: int) -> np.ndarray:
-    """Rows (log C(r, k), k, r - k) for k = 0..r."""
-    k = np.arange(r + 1.0)
-    return np.stack([[math.log(comb(r, j)) for j in range(r + 1)], k, r - k], axis=1)
+@lru_cache(maxsize=16)
+def _count_states(c: int) -> np.ndarray:
+    """Q_c: column k is the state of c spins with k results +1 at angle 0, over the
+    Dicke states j = 0..c (j spins of the + mode): the eigenvectors of the
+    tridiagonal J_x, eigenvalue k - c/2, which are Wigner's d**(c/2)(pi/2) up to
+    signs (exact diagonalization, Feng et al., Phys. Rev. E 92, 043307, 2015)."""
+    # imported here, not at module level: SciPy takes most of a cold start
+    from scipy.linalg import eigh_tridiagonal
+
+    j = np.arange(c)
+    q = eigh_tridiagonal(np.zeros(c + 1), np.sqrt((j + 1.0) * (c - j)) / 2)[1]
+    q.flags.writeable = False
+    return q
 
 
-def _run_terms(kernel: exact._Bracket, phi: float, r: int) -> np.ndarray:
-    """Coefficients C(r, k) plus**k minus**(r - k) of t**k in (minus + t plus)**r,
-    k = 0..r along axis 0, for r results at ``phi``.  Plus and minus are the
-    halved brackets of the outcomes +1 and -1 over the grid.  The terms are
-    taken in log space with their signs tracked, so no binomial overflows and
-    no power underflows, whatever r."""
-    rows = _expansion(r)
-    etas = np.array([0.5, -0.5]).reshape(2, 1, 1)
-    halves = (0.5 * kernel.cos_big + etas * kernel.transverse(phi)).reshape(2, -1)
-    with np.errstate(divide="ignore"):
-        # a finite stand-in for log 0 keeps 0**0 = 1 and still gives 0**k = 0
-        logs = np.maximum(np.log(np.abs(halves)), -1e300)
-    terms = np.exp(rows[:, :1] + rows[:, 1:] @ logs)
-    # the sign is (sign(plus) sign(minus))**k sign(minus)**r
-    negative = halves < 0
-    terms[1::2] *= np.where(negative[0] != negative[1], -1.0, 1.0)
-    if r % 2:
-        terms *= np.where(negative[1], -1.0, 1.0)
-    return terms.reshape((r + 1,) + kernel.shape)
-
-
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two polynomials in t, coefficients along axis 0, at every grid cell."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:])
-    for i, row in enumerate(b):
-        out[i:i + len(a)] += a * row
+@lru_cache(maxsize=16)
+def _count_matrix(c: int, func: PartyFunctional) -> np.ndarray:
+    """sum_k f(k) P_k for c results at angle 0, P_k the projector on k results +1."""
+    q = _count_states(c)
+    out = (q * func.values_table(c)) @ q.T
+    out.flags.writeable = False
     return out
 
 
-def _party(kernel: exact._Bracket, angles, func: PartyFunctional, *, slopes: bool = False):
-    """The party's values f(k) weighted by its plus-count coefficients, over the grid.
+def _rotated(r: np.ndarray, phi: float) -> np.ndarray:
+    """D r D^H with D = diag(exp(-i j phi)): the matrix r of angle 0 moved to ``phi``."""
+    d = np.exp(-1j * phi * np.arange(r.shape[-1]))
+    return d[:, None] * r * d.conj()
 
-    e_k, the coefficient of t**k in prod_j (minus_j + t plus_j), gathers the
-    histories with k results +1; the halved brackets keep sum_k |e_k| <= 1.
-    Equal angles share one binomial expansion.
 
-    With ``slopes`` also returns the derivative by any one of the party's angles
-    equal to u, over the grid, keyed by each distinct u.  With e'_j the
-    coefficients after taking one result at u away, built from the value's other
-    expansions, it is sin(lambda - u) / 2 times sum_j e'_j (f(j + 1) - f(j)).
+def _slope(r: np.ndarray) -> np.ndarray:
+    """d r / d phi of a rotated matrix, -i (J r - r J) with J = diag(j)."""
+    j = np.arange(r.shape[-1])
+    return -1j * (j[:, None] - j) * r
+
+
+@lru_cache(maxsize=64)
+def _stretched(small: int, large: int):
+    """Stretched Clebsch-Gordan weights w[a, j] = sqrt(C(small, j) C(large, a - j) /
+    C(small + large, a)) of |small + large, a> in |small, j>|large, a - j>, 0 where
+    a - j is out of range, and the index a - j clipped into range.  Each ratio is
+    one correctly rounded division of integers."""
+    bs, bl, b = ([comb(c, k) for k in range(c + 1)] for c in (small, large, small + large))
+    ratios = [[bs[j] * bl[a - j] / b[a] if 0 <= a - j <= large else 0.0
+               for j in range(small + 1)] for a in range(small + large + 1)]
+    index = np.clip(np.arange(small + large + 1)[:, None] - np.arange(small + 1), 0, large)
+    w = np.sqrt(ratios)
+    w.flags.writeable = index.flags.writeable = False
+    return w, index
+
+
+def _chunk_rows(batch: int, c: int, small: int, diagonal: bool) -> int:
+    """Output rows a of a coupling of c results gathered at a time, within the table
+    budget.  Raises ValueError where a whole matrix, or one row of its gather, would
+    exceed it; a diagonal takes at least one row, (small + 1)**2 elements."""
+    row = batch * (small + 1) ** 2 * (1 if diagonal else c + 1)
+    if not diagonal and max(row, batch * (c + 1) ** 2) > exact._TREE_BUDGET:
+        raise ValueError(f"coupling {small} to {c - small} results exceeds the table budget")
+    return max(1, exact._TREE_BUDGET // row)
+
+
+def _couple(x: np.ndarray, y: np.ndarray, *, diagonal: bool = False) -> np.ndarray:
+    """Matrices of two sets of spins over their Dicke states (last two axes, leading
+    axes batched) coupled onto the Dicke states of all their spins,
+    out[a, b] = sum_(j, k) w[a, j] w[b, k] x[j, k] y[a - j, b - k], or with
+    ``diagonal`` out[a] = out[a, a] alone.  The sum runs over the smaller set."""
+    if x.shape[-1] > y.shape[-1]:
+        x, y = y, x
+    small, large = x.shape[-1] - 1, y.shape[-1] - 1
+    w, index = _stretched(small, large)
+    flat = y.reshape(y.shape[:-2] + (-1,))
+    step = _chunk_rows(math.prod(y.shape[:-2]), small + large, small, diagonal)
+    parts = []
+    for start in range(0, small + large + 1, step):
+        rows = slice(start, start + step)
+        if diagonal:
+            block = flat[..., index[rows, :, None] * (large + 1) + index[rows, None, :]]
+            parts.append(np.einsum("aj,...ajk,ak->...a", w[rows], block * x[..., None, :, :],
+                                   w[rows]))
+        else:
+            block = flat[..., index[rows, :, None, None] * (large + 1) + index]
+            parts.append(np.einsum("aj,...ajbk,bk->...ab", w[rows],
+                                   block * x[..., None, :, None, :], w))
+    return np.concatenate(parts, axis=-1 if diagonal else -2)
+
+
+def _party(angles, func: PartyFunctional, *, slopes: bool = False):
+    """R = sum_k f(k) P_k over the party's Dicke states, P_k the projector on k
+    results +1.
+
+    The results at one angle form a group, whose P_k are rank one: a party of
+    one group takes f into its matrix.  A party of several groups writes
+    f(k) = sum_t fhat(t) omega**(t k), omega = exp(2 pi i / (c + 1)), and couples
+    the groups' matrices sum_k omega**(t k) P_k at each t.
+
+    With ``slopes`` also returns dR / d phi, the whole group at phi moving, keyed
+    by each distinct angle phi.  Raises ValueError, before any work, where a
+    coupling of the groups would exceed the table budget.
     """
-    counts = Counter(angles)
-    runs = {phi: _run_terms(kernel, phi, total) for phi, total in counts.items()}
-    coeffs = reduce(_convolve, runs.values())
-    values = func.values_table(len(angles))
-    value = (values @ coeffs.reshape(values.size, -1)).reshape(coeffs.shape[1:])
-    if not slopes:
-        return value
-    steps = np.diff(values)
-    by_angle = {}
-    for phi, total in counts.items():
-        coeffs = reduce(_convolve, (terms for other, terms in runs.items() if other != phi),
-                        _run_terms(kernel, phi, total - 1))
-        weighted = (steps @ coeffs.reshape(steps.size, -1)).reshape(coeffs.shape[1:])
-        by_angle[phi] = 0.5 * np.sin(kernel.lam - phi) * weighted
-    return value, by_angle
+    groups = Counter(angles)
+    if len(groups) == 1:
+        (phi, c), = groups.items()
+        value = _rotated(_count_matrix(c, func), phi)
+        return (value, {phi: _slope(value)}) if slopes else value
+    c, sizes = len(angles), list(groups.values())
+    for i in range(1, len(sizes)):  # the couplings of the groups, in order
+        _chunk_rows(c + 1, sum(sizes[:i + 1]), min(sum(sizes[:i]), sizes[i]), False)
+    t = np.arange(c + 1)
+    roots = np.exp(2j * np.pi / (c + 1) * np.outer(t, t))
+    fhat = roots.conj() @ func.values_table(c) / (c + 1)
+    mats = {}
+    for phi, size in groups.items():
+        q = _count_states(size)
+        mats[phi] = _rotated(np.einsum("jk,tk,lk->tjl", q, roots[:, :size + 1], q), phi)
+
+    def combine(moved=None):
+        return np.tensordot(fhat, reduce(_couple, (_slope(r) if phi == moved else r
+                                                   for phi, r in mats.items())), 1)
+
+    return (combine(), {phi: combine(phi) for phi in mats}) if slopes else combine()
 
 
-def _coefficient_columns(kernel: exact._Bracket, m: int):
-    """The grid in lambda slices for plus-count parties of m measurements: their
-    coefficients take about 4(m + 1) floats per grid cell, so the slices keep
-    them near the table budget."""
-    return kernel.columns(max(1, exact._TREE_BUDGET // (4 * (m + 1) * kernel.shape[0])))
+@lru_cache(maxsize=32)
+def _dicke_weights(law: str, n_plus: int, n_minus: int, m: int) -> np.ndarray:
+    """p_a = C(M, a) r_a / 2**M, a = 0..M: the weights of the Dicke states of the
+    first M spins, a of them of the + mode, with r from the logs of
+    ``exact._History`` (r = 1 for the classical law)."""
+    history = exact._History.for_law(law, n_plus, n_minus, m)
+    binomials = np.array([math.log(comb(m, a)) for a in range(m + 1)]) - m * math.log(2.0)
+    out = np.exp(history.up + history.down[::-1] + history.offset + binomials)
+    out.flags.writeable = False
+    return out
+
+
+def _average(weights: np.ndarray, parties) -> float:
+    """sum_a p_a <M, a| R_1 (x) R_2 (x) ... |M, a>: the parties coupled in order,
+    the last one on the diagonal alone."""
+    *rest, last = parties
+    inner = reduce(_couple, rest) if rest else np.ones((1, 1))
+    return float(weights @ _couple(inner, last, diagonal=True).real)
 
 
 def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> float:
@@ -154,9 +223,15 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
         Outcome distribution: the full quantum law or the classical-phase
         (separable) law.
 
-    All-product layouts take one product-correlation integral; every other
-    layout weights each party's values by its plus-count distribution on the
-    quadrature grid.  Neither route limits the number of measurements.
+    All-product layouts take one product-correlation integral.  Every other
+    layout takes each party's matrix over its own Dicke states (see
+    :func:`_party`) and the mixture of Dicke states of the measured spins:
+    every step is a contraction, so the error stays at round-off for any M and
+    any populations.
+
+    Raises ValueError where coupling the groups of a party of several angles,
+    or any party but the last of three or more, would take more than
+    ``exact._TREE_BUDGET`` elements: such a party of a few hundred results.
 
     The result always lies in [-1, 1] because every party value does.
     """
@@ -172,16 +247,11 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
             return constant * exact.correlation_e(config)
         return constant * exact.classical_product_correlation(config.angles)
 
-    kernel = exact._Bracket.for_law(law, config.n_plus, config.n_minus, config.m)
-    total = 0.0
-    for part in _coefficient_columns(kernel, config.m):
-        integrand = part.weight(config.m)
-        start = 0
-        for count, func in layout:
-            integrand = integrand * _party(part, config.angles[start:start + count], func)
-            start += count
-        total += float(integrand.sum())
-    return constant * total / math.prod(kernel.shape)
+    weights = _dicke_weights(law, config.n_plus, config.n_minus, config.m)
+    cuts = np.cumsum([0] + [count for count, _ in layout])
+    parties = [_party(config.angles[start:stop], func)
+               for start, stop, (_, func) in zip(cuts, cuts[1:], layout)]
+    return constant * _average(weights, parties)
 
 
 def _is_product(spec: BellFunctionalSpec) -> bool:
@@ -261,13 +331,13 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
         The Gaussian approximation needs product functionals, equal
         populations and every particle measured.
 
-    With B blocks the value is 2**(1 - B) times the grid mean of the weight
-    times prod_b [X_b (Y_b + Y'_b) + X'_b (Y_b - Y'_b)], each factor a party's
+    With B blocks the value is 2**(1 - B) times the average of
+    prod_b [X_b (Y_b + Y'_b) + X'_b (Y_b - Y'_b)], each factor a party's
     value at one setting (B = 1: T(a,b) + T(a',b) + T(a,b') - T(a',b')).
-    For product parties every factor depends on lambda alone and the Lambda
-    mean is the kernel's exact moment, so identically vanishing products give
-    0.0.  A ``bchsh`` layout with any other party takes its four averages T
-    from :func:`expectation`.
+    For product parties every factor depends on lambda alone, and the value
+    is the kernel's exact moment times one lambda mean, so identically
+    vanishing products give 0.0.  A ``bchsh`` layout with any other party
+    takes its four averages T from :func:`expectation`.
     """
     if n_minus is None:
         n_minus = n_plus
@@ -289,19 +359,25 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
 
 def _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law) -> np.ndarray:
     """d bell_value / d phi for every measurement of a bchsh layout with a plus-count
-    party, shaped as ``rows``: the one-block product of the four party values."""
-    kernel = exact._Bracket.for_law(law, n_plus, n_minus, spec.m)
-    settings = [(row[keep], spec.party_layout[s // 2][1])
-                for s, (row, keep) in enumerate(zip(rows, mask))]
+    party, shaped as ``rows``.
+
+    The value B(R_x, R_y + R_y') + B(R_x', R_y - R_y') is linear in each party
+    matrix, B the coupling of :func:`_average`, so a setting's slope couples its
+    matrix's slope with its partner.  A measurement's share of its group's slope
+    is one part in the group size.
+    """
+    weights = _dicke_weights(law, n_plus, n_minus, spec.m)
+    settings = [tuple(row[keep]) for row, keep in zip(rows, mask)]
+    parties = [_party(a, spec.party_layout[s // 2][1], slopes=True)
+               for s, a in enumerate(settings)]
+    x, xp, y, yp = (value for value, _ in parties)
     out = np.zeros(rows.shape)
-    for part in _coefficient_columns(kernel, spec.m):
-        weight = part.weight(spec.m)  # raises on overflow before any party is expanded
-        parties = [_party(part, a, func, slopes=True) for a, func in settings]
-        by_value = weight * _block_slopes(np.array([f for f, _ in parties]))
-        for s, ((a, _), (_, slopes)) in enumerate(zip(settings, parties)):
-            totals = {phi: float((by_value[s] * slope).sum()) for phi, slope in slopes.items()}
-            out[s, :len(a)] += [totals[phi] for phi in a]
-    return out / math.prod(kernel.shape)
+    for s, (a, (_, slopes), partner) in enumerate(
+            zip(settings, parties, (y + yp, y - yp, x + xp, x - xp))):
+        totals = {phi: _average(weights, [slope, partner]) / a.count(phi)
+                  for phi, slope in slopes.items()}
+        out[s, :len(a)] = [totals[phi] for phi in a]
+    return out
 
 
 def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
@@ -311,7 +387,7 @@ def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int |
 
     Product layouts differentiate the block product through each setting's
     cosine product, the Gaussian law each cross term's exponent, and plus-count
-    parties their coefficient expansion (see :func:`_party`).
+    parties their matrices' slopes (see :func:`_plus_count_slopes`).
     """
     if n_minus is None:
         n_minus = n_plus
@@ -329,7 +405,7 @@ def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int |
     elif _is_product(spec):
         kernel = exact._Bracket.for_law(law, n_plus, n_minus, m)
         f, by_angle = kernel.cosine_products(rows, mask, slopes=True)
-        by_value = _block_slopes(f) * (prefactor * kernel.moment0 / kernel.shape[1])
+        by_value = _block_slopes(f) * (prefactor * kernel.moment0 / kernel.lam.size)
         slopes = np.einsum("rk,rjk->rj", by_value, by_angle)
     else:
         slopes = _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law)

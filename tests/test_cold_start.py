@@ -35,10 +35,10 @@ codes = [main(argv + ["--out", f"{tmp}/{i}.out"]) for i, argv in enumerate([
 before = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 layout = ((2, PartyFunctional.binned_sign("zero")), (2, PartyFunctional.pair_average()))
 value = expectation(ExperimentConfig(2, 2, (0.1, 0.7, -0.4, 1.2)), layout)
-fft = "scipy.fft" in sys.modules
+linalg = "scipy.linalg" in sys.modules
 codes.append(main(["qmax", spec, "--mode", "free", "--restarts", "1", "--out", f"{tmp}/free"]))
 codes.append(main(["qmax", spec, "--mode", "fan", "--out", f"{tmp}/fan"]))
-print(json.dumps({"codes": codes, "before": before, "value": repr(value), "fft": fft,
+print(json.dumps({"codes": codes, "before": before, "value": repr(value), "linalg": linalg,
                   "optimize": "scipy.optimize" in sys.modules}))
 """
 
@@ -64,7 +64,7 @@ def test_scipy_loads_only_where_a_command_needs_it(tmp_path, capsys):
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * 7
     assert got["before"] == []
-    assert got["fft"] and got["optimize"]
+    assert got["linalg"] and got["optimize"]
     # the deferred imports give the values a warm interpreter gives
     assert got["value"] == repr(expectation(ExperimentConfig(2, 2, tuple(CONFIG["angles"])),
                                             LAYOUT))

@@ -31,13 +31,13 @@ def correlation_e_outcome_sum(config):
     return float(np.dot(signs, probs))
 
 
-def grid_sequence(kernel, etas, angles):
-    """Probability of one sequence on the (Lambda, lambda) grid: the mean of the
-    Lambda weight times the halved brackets (cos(Lambda) + eta cos(lambda - phi)) / 2."""
-    integrand = kernel.weight(len(angles))
-    for eta, phi in zip(etas, angles):
-        integrand = integrand * (0.5 * (kernel.cos_big + eta * kernel.transverse(phi)))
-    return float(integrand.mean())
+def classical_grid_sequence(etas, angles):
+    """Probability of one sequence under the classical-phase law: the mean over
+    M + 1 equispaced phases of prod_j (1 + eta_j cos(lambda - phi_j)) / 2, a
+    trigonometric polynomial of degree M."""
+    lam = -np.pi + 2 * np.pi * np.arange(len(angles) + 1) / (len(angles) + 1)
+    return float(np.prod([(1 + eta * np.cos(lam - phi)) / 2
+                          for eta, phi in zip(etas, angles)], axis=0).mean())
 
 
 def quad_cn(n_plus, n_minus, nodes):
@@ -46,59 +46,18 @@ def quad_cn(n_plus, n_minus, nodes):
     return float(np.mean(np.cos((n_plus - n_minus) * lam) * np.cos(lam) ** (n_plus + n_minus)))
 
 
-def fock_moment(d, j):
-    """Integral of cos(d L) cos(L)**j over dL/2pi, as an exact fraction."""
-    if abs(d) > j or (j + d) % 2:
-        return Fraction(0)
-    return Fraction(comb(j, (j + d) // 2), 2 ** j)
-
-
 class TestQuadratureRule:
-    @pytest.mark.parametrize("n_plus,n_minus,m", [
-        (3, 2, 5), (6, 6, 4), (1, 9, 3), (4, 4, 0), (100, 500, 2), (0, 40, 7), (250, 250, 12),
-    ])
-    def test_exact_through_degree_m(self, n_plus, n_minus, m):
-        # M + 1 Lambda nodes integrate cos(d L) cos(L)**(N - M + j) / C_N for
-        # every j <= M, so every polynomial of degree M in cos(L); round-off
-        # scales with the weights, which reach 2**M for a single Fock state
-        kernel = _Bracket.quantum(n_plus, n_minus, m)
-        assert kernel.shape == (m + 1, m + 1)
-        n, d = n_plus + n_minus, n_plus - n_minus
-        tol = 1e-15 * max(1.0, float(np.abs(kernel.weight_big).sum()))
-        for j in range(m + 1):
-            want = fock_moment(d, n - m + j) / fock_moment(d, n)
-            got = np.mean(kernel.weight(m) * kernel.cos_big ** j)
-            assert got == pytest.approx(float(want), abs=tol)
-
-    def test_constant(self):
-        # the weight with no measurement integrates to 1: C_N is in the weights
-        for n_plus, n_minus, m in [(3, 2, 5), (7, 1, 2), (10**6, 10**6 - 2, 6)]:
-            kernel = _Bracket.quantum(n_plus, n_minus, m)
-            assert np.mean(kernel.weight(0)) == pytest.approx(1.0, abs=1e-13)
-
     @pytest.mark.parametrize("k,degree", [(8, 5), (16, 13), (30, 29)])
     def test_exact_below_node_count(self, k, degree):
         # K = M + 1 equispaced lambda nodes for either law, as many as the integrands'
         # degree M in lambda needs: the node mean of cos(d*x + 0.3), its integral
         # over dx/2pi, vanishes for 1 <= d <= M, and at d = K it does not
         m = k - 1
-        kernel = _Bracket.quantum(m + 3, m, m)
-        assert kernel.shape == (m + 1, k)
-        nodes = kernel.lam.ravel()
+        nodes = _Bracket.quantum(m + 3, m, m).lam.ravel()
+        assert nodes.size == k
         assert np.array_equal(nodes, _Bracket.classical(m).lam.ravel())
-        assert _Bracket.classical(m).shape == (1, k)
         assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
         assert abs(np.mean(np.cos(k * nodes + 0.3))) == pytest.approx(math.cos(0.3))
-
-    def test_column_slices_share_the_lambda_weights(self):
-        # the weights are built on first use, once per rule: every lambda slice
-        # carries the whole rule's array instead of building its own
-        kernel = _Bracket.quantum(7, 5, 12)
-        parts = list(kernel.columns(4))
-        assert len(parts) == 4
-        assert all(part.weight_big is kernel.weight_big for part in parts)
-        assert np.array_equal(np.concatenate([p.lam for p in parts], axis=1), kernel.lam)
-        assert _Bracket.classical(3).weight_big.tolist() == [[1.0]]
 
 
 class TestNormalizationCn:
@@ -160,21 +119,24 @@ class TestSequenceProbability:
         with pytest.raises(ValueError):
             sequence_probability(cfg, OutcomeSequence((1,)))
 
-    def test_grid_route_agrees(self):
-        # every N <= 12, population split and M <= N, both laws: the coefficient
-        # row against the (Lambda, lambda) grid's bracket product
+    def test_state_vector_marginals_agree(self):
+        # every N <= 12, population split and M <= N: the coefficient row against
+        # the marginal of the oracle's full table over the unmeasured spins, and
+        # the classical law against its phase average on M + 1 nodes
         rng = np.random.default_rng(23)
         for n in range(1, 13):
             for n_plus in range(n + 1):
+                angles = tuple(rng.uniform(-np.pi, np.pi, n))
+                full = oracle_all_probabilities(w_state(n_plus, n - n_plus), angles)
                 for m in range(n + 1):
-                    angles = tuple(rng.uniform(-np.pi, np.pi, m))
-                    etas = tuple(int(e) for e in rng.choice([-1, 1], m))
-                    got = sequence_probability(ExperimentConfig(n_plus, n - n_plus, angles),
+                    index = int(rng.integers(2 ** m))
+                    etas = tuple(1 if index >> j & 1 else -1 for j in range(m))
+                    got = sequence_probability(ExperimentConfig(n_plus, n - n_plus, angles[:m]),
                                                OutcomeSequence(etas))
-                    want = grid_sequence(_Bracket.quantum(n_plus, n - n_plus, m), etas, angles)
+                    want = full.reshape(-1, 2 ** m).sum(axis=0)[index]
                     assert got == pytest.approx(want, rel=0, abs=1e-14)
-                    assert classical_sequence_probability(angles, etas) == pytest.approx(
-                        grid_sequence(_Bracket.classical(m), etas, angles), rel=0, abs=1e-14)
+                    assert classical_sequence_probability(angles[:m], etas) == pytest.approx(
+                        classical_grid_sequence(etas, angles[:m]), rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("law", ["exact", "classical"])
     def test_table_slices_agree(self, monkeypatch, law):
@@ -543,9 +505,8 @@ class TestAnyPopulation:
             assert correlation_e(ExperimentConfig(n_plus, n_minus, row)) == 0.0
 
     def test_cost_does_not_grow_with_n(self):
-        # the rule has M + 1 Lambda nodes and M + 1 lambda nodes at any N
-        kernel = _Bracket.quantum(10**12, 10**12 + 4, 6)
-        assert kernel.shape == (7, 7)
+        # the rule has M + 1 lambda nodes at any N
+        assert _Bracket.quantum(10**12, 10**12 + 4, 6).lam.size == 7
 
 
 class TestClassicalLaw:

@@ -41,17 +41,6 @@ UNITS = tuple(_PHASES)
 POPULATIONS = [(10**6, 10**6 - 3, 12), (123457, 7, 10), (0, 40, 14)]
 LAWS = ["exact", "classical"]
 
-# The plus-count route sums over histories on the (Lambda, lambda) grid, whose
-# Lambda weights reach 2**M for very unequal populations, so its round-off
-# grows like 2**M eps: under the exact law these two are off by 3.0e-15 and
-# 4.9e-14 in test_plus_count_expectation, and by 1.1e-14 and 1.6e-14 in the
-# binned bchsh of test_bell_value, at quarter turns; at sixth turns by 9.4e-16
-# and 5.1e-14, and by 6.0e-16 and 6.6e-13.  They stay marked as known failures
-# until that route is mended.
-_GRID_ROUNDOFF = pytest.mark.xfail(
-    strict=True, reason="plus-count grid round-off at very unequal populations")
-_UNEQUAL = [(123457, 7, 10), (0, 40, 14)]
-
 
 def _cases(kinds=(None,)):
     """(population, law[, kind], unit) for every population, law and kind, at quarter
@@ -61,9 +50,7 @@ def _cases(kinds=(None,)):
         for law in LAWS:
             for kind in kinds:
                 args = population + (law,) + (() if kind is None else (kind,))
-                marks = _GRID_ROUNDOFF if (
-                    kind != "product" and law == "exact" and population in _UNEQUAL) else ()
-                cases += [pytest.param(*args, unit, marks=marks, id="-".join(map(str, args))
+                cases += [pytest.param(*args, unit, id="-".join(map(str, args))
                                        + ("-sixth" if unit == 6 else "")) for unit in UNITS]
     return cases
 
@@ -252,3 +239,65 @@ def test_bell_value(n_plus, n_minus, m, law, kind, unit):
     got = bell_value(spec, angles_of(slots, unit), n_plus, n_minus, law=law)
     # the per-average tolerance of close(), summed over the four averages
     assert abs(got - want) <= 1e-13 * sum(max(abs(t), 2.0 ** -m) for t in averages)
+
+
+def count_pair_reference(n_plus, n_minus, alice, bob):
+    """Exact average of two one-angle parties under the exact law, as a Fraction;
+    each party is (count, quarter turns q, functional).
+
+    A sequence whose c results at q quarter turns hold k results +1 contributes
+    (1 + u w)**k (1 - u w)**(c - k), u = (-i)**q, to its generating polynomial
+    e(w), and K[k, j] u**j is its coefficient of w**j.  The C(c_A, k_A) C(c_B, k_B)
+    sequences of the count pair (k_A, k_B) each have the probability
+    sum_k r_(M - k) |e_k|**2 / 4**M.  The sum over the count pairs is taken with
+    |e_k|**2 written out as sum_(j, j') of the two parties' coefficients, so that
+    each party's count sum comes first; only the real part of u_A**(j - j')
+    u_B**(j' - j) survives, and every term is an integer.
+    """
+    m, mats = alice[0] + bob[0], []
+    for count, _, func in (alice, bob):
+        k = np.array([[sum(math.comb(kk, i) * math.comb(count - kk, j - i) * (-1) ** (j - i)
+                           for i in range(max(0, j - count + kk), min(j, kk) + 1))
+                       for j in range(count + 1)] for kk in range(count + 1)], dtype=object)
+        values = [math.comb(count, kk) * int(func.value_given_plus_count(kk, count))
+                  for kk in range(count + 1)]
+        mats.append((k.T * np.array(values, dtype=object)) @ k)
+    (ca, qa, _), (cb, qb, _) = alice, bob
+    real_unit = (1, 0, -1, 0)  # real part of (-i)**n, n mod 4
+    total = 0
+    for a in range(m + 1):
+        js = np.arange(max(0, a - cb), min(ca, a) + 1)
+        signs = np.array([[real_unit[(qa - qb) * (j - jp) % 4] for jp in js] for j in js])
+        block = mats[0][np.ix_(js, js)] * mats[1][np.ix_(a - js, a - js)] * signs
+        total += falling(n_plus, m - a) * falling(n_minus, a) * block.sum()
+    return Fraction(int(total), falling(n_plus + n_minus, m) * 2 ** m)
+
+
+def test_count_pair_reference_matches_table():
+    # the count-pair sum against the 2**M table, at quarter turns of every offset
+    first, second = PartyFunctional.binned_sign(), PartyFunctional.binned_sign("zero")
+    for n_plus, n_minus, ca, cb in [(3, 4, 3, 4), (6, 1, 4, 3), (0, 9, 5, 2)]:
+        for qa, qb in [(0, 1), (1, 3), (2, 2)]:
+            nums, den = exact_table(n_plus, n_minus, (qa,) * ca + (qb,) * cb, "exact")
+            values = [int(first.value_given_plus_count(a, ca)
+                          * second.value_given_plus_count(b, cb))
+                      for a, b in zip(plus_counts(ca + cb, range(ca)),
+                                      plus_counts(ca + cb, range(ca, ca + cb)))]
+            want = Fraction(sum(v * x for v, x in zip(values, nums)), den)
+            assert count_pair_reference(n_plus, n_minus, (ca, qa, first), (cb, qb, second)) == want
+
+
+@pytest.mark.parametrize("n_plus,n_minus,count,value", [
+    (5, 200, 50, 4.2404938292898937e-4),
+    (7, 500, 40, 4.687420891869616e-3),
+    (0, 200, 30, 2.086997676321034e-2),
+])
+def test_plus_count_past_the_table(n_plus, n_minus, count, value):
+    # two binned parties at angles 0 and pi/2, M far past the 2**M table, at very
+    # unequal populations
+    f = PartyFunctional.binned_sign()
+    want = count_pair_reference(n_plus, n_minus, (count, 0, f), (count, 1, f))
+    assert float(want) == value
+    got = expectation(ExperimentConfig(n_plus, n_minus, (0.0,) * count + (math.pi / 2,) * count),
+                      [(count, f), (count, f)])
+    assert abs(got - value) <= 1e-14

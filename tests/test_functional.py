@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.stats import binom
 
 from fockbell import exact, functional
 from fockbell.exact import (
-    UnnormalizableConfigError,
     classical_all_probabilities,
     classical_product_correlation,
     correlation_closed_form,
@@ -129,14 +129,6 @@ class TestExpectation:
         sign = 1 - 2 * binom.cdf((m - 2) // 2, m - 1, (1 + np.cos(lam - 0.1)) / 2)
         assert got == pytest.approx(float(np.mean(sign * np.cos(lam - 0.5))), abs=1e-12)
 
-    def test_grid_slices_agree(self, monkeypatch):
-        # a budget small enough to evaluate the grid one lambda node at a time
-        cfg = ExperimentConfig(4, 3, (0.2, 0.2, -0.7, 1.3, 1.3, 0.4, 2.0))
-        layout = [(3, BINNED), (2, PartyFunctional.pair_average()), (2, BINNED_ZERO)]
-        whole = expectation(cfg, layout)
-        monkeypatch.setattr(exact, "_TREE_BUDGET", 1)
-        assert expectation(cfg, layout) == pytest.approx(whole, abs=1e-15)
-
     def test_classical_grouped_equals_enumeration(self):
         layout = [(3, BINNED_ZERO), (2, PartyFunctional.pair_average()), (1, PRODUCT)]
         angles = (0.4,) * 3 + (-1.1,) * 2 + (2.3,)
@@ -144,16 +136,38 @@ class TestExpectation:
         want = brute_force_expectation(cfg, layout, classical_all_probabilities(angles))
         assert expectation(cfg, layout, law="classical") == pytest.approx(want, abs=1e-12)
 
-    def test_overflowing_rule_weights_raise(self, monkeypatch):
-        # a single Fock state at M = 1100: the Lambda weights reach 2**M, beyond the
-        # float range, and the plus-count route raises before it expands a party
-        def expand(*args):
-            raise AssertionError("a party was expanded")
+    def test_single_fock_state_at_large_m_is_independent_coins(self):
+        # every spin of (0, N) measured: the results are independent fair coins, so
+        # E = prod_p sum_k f_p(k) C(c_p, k) / 2**c_p, here C(1098, 549) / 2**1099
+        layout = [(1098, BINNED), (2, BINNED)]
+        want = Fraction(1)
+        for count, func in layout:
+            want *= sum(Fraction(math.comb(count, k), 2 ** count)
+                        * Fraction(func.value_given_plus_count(k, count))
+                        for k in range(count + 1))
+        assert want == Fraction(math.comb(1098, 549), 2 ** 1099)
+        cfg = ExperimentConfig(0, 1100, (0.1,) * 1098 + (0.7,) * 2)
+        assert float(want) == 0.012036771403573699
+        assert abs(expectation(cfg, layout) - 0.012036771403573699) <= 1e-14
 
-        monkeypatch.setattr(functional, "_run_terms", expand)
-        cfg = ExperimentConfig(0, 1100, (0.1,) * 1100)
-        with pytest.raises(UnnormalizableConfigError):
-            expectation(cfg, [(1099, BINNED), (1, PRODUCT)])
+    def test_coupling_rows_agree(self, monkeypatch):
+        # a budget small enough to couple the parties one Dicke row at a time
+        cfg = ExperimentConfig(4, 3, (0.2, 0.2, 0.2, -0.7, -0.7, 1.3, 1.3))
+        layout = [(3, BINNED), (2, PartyFunctional.pair_average()), (2, BINNED_ZERO)]
+        whole = expectation(cfg, layout)
+        monkeypatch.setattr(exact, "_TREE_BUDGET", 54)
+        assert expectation(cfg, layout) == pytest.approx(whole, abs=1e-15)
+
+    def test_party_of_several_angles_beyond_budget_raises(self, monkeypatch):
+        # the couplings of a party's angle groups are sized before any group is built
+        def build(*args):
+            raise AssertionError("a group was built")
+
+        monkeypatch.setattr(exact, "_TREE_BUDGET", 100)
+        monkeypatch.setattr(functional, "_count_states", build)
+        cfg = ExperimentConfig(4, 4, (0.1,) * 3 + (0.5,) * 3 + (0.9,) * 2)
+        with pytest.raises(ValueError, match="exceeds the table budget"):
+            expectation(cfg, [(6, BINNED), (2, PRODUCT)])
 
     def test_layout_counts_must_match(self):
         cfg = ExperimentConfig(2, 2, (0.0, 0.1))
@@ -396,14 +410,6 @@ class TestBellGradient:
         np.testing.assert_allclose(_bell_gradient(spec, angles, n, n, law=law),
                                    central_differences(spec, angles, n, n, law),
                                    rtol=0, atol=1e-7)
-
-    def test_grid_slices_agree(self, monkeypatch):
-        # a budget small enough to differentiate one lambda node at a time
-        spec = BellFunctionalSpec.bchsh(3, 2, BINNED, PartyFunctional.pair_average())
-        angles = [np.array([0.2, 0.2, -0.7]), 1.3, np.array([0.4, 2.0]), -0.5]
-        whole = _bell_gradient(spec, angles, 4, 3)
-        monkeypatch.setattr(exact, "_TREE_BUDGET", 1)
-        np.testing.assert_allclose(_bell_gradient(spec, angles, 4, 3), whole, rtol=0, atol=1e-15)
 
 
 class TestSemiMesoscopic:
