@@ -52,15 +52,22 @@ def _load_json(path: str, allowed: set[str], required: set[str]) -> dict:
 
 
 def _int(value, name: str) -> int:
+    """``value`` as a whole number that fits in a 64-bit integer; a boolean, or a
+    float with a fractional part, is not taken for one."""
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from err
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    truncated = isinstance(value, bool) or isinstance(value, float) and whole != value
+    if whole is None or truncated or not -2**63 <= whole < 2**63:
+        raise ConfigError(f"{name} must be a whole number in [-2**63, 2**63), got {value!r}")
+    return whole
 
 
 def _experiment_config(data: dict, angles) -> ExperimentConfig:
+    n_plus, n_minus = (_int(data[key], key) for key in ("n_plus", "n_minus"))
     try:
-        return ExperimentConfig(int(data["n_plus"]), int(data["n_minus"]), tuple(angles))
+        return ExperimentConfig(n_plus, n_minus, tuple(angles))
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err)) from err
 
@@ -131,7 +138,7 @@ def _bell_spec(data: dict, n: int) -> tuple[BellFunctionalSpec, str]:
             if counts is None:
                 counts = (optimizer.double_letter_counts(n) if double
                           else optimizer.triple_letter_counts(n))
-            counts = tuple(int(c) for c in counts)
+            counts = tuple(_int(c, "letter count") for c in counts)
             maker = BellFunctionalSpec.double_bchsh if double else BellFunctionalSpec.triple_bchsh
             spec = maker(counts)
         except (TypeError, ValueError, OverflowError) as err:
@@ -250,7 +257,7 @@ def cmd_phase(args) -> int:
     if len(angles) != len(outcomes):
         raise ConfigError("angles and outcomes must have equal length")
     try:
-        etas = OutcomeSequence(tuple(int(e) for e in outcomes)).etas if outcomes else ()
+        etas = OutcomeSequence(tuple(_int(e, "outcome") for e in outcomes)).etas if outcomes else ()
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(str(err)) from err
     resolution = _int(data.get("resolution", args.resolution), "resolution")

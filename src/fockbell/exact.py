@@ -1,15 +1,16 @@
 """Exact evaluation of measurement statistics for a double Fock state.
 
-The probability of a single history is a weighted sum over the M + 1
-coefficients of one polynomial (:class:`_History`), with the weights of the
-Dicke states of the measured spins kept as logs, so nothing grows with N.  A
-product average is an integral over two angles (Lambda, lambda) that
-separates: the Lambda integral is one closed-form moment and the lambda
-integrand a trigonometric polynomial of degree M, which M + 1 equispaced
-nodes integrate exactly (:class:`_Bracket`).  Plus-count parties take the
-same Dicke weights in ``functional``.  The closed-form combinatoric routes
-(factorial sum, correction factor, Gaussian approximation) are kept alongside;
-the test suite holds the routes against each other.
+Every route reads one law object, :class:`_Law`, cached per (law, n_plus,
+n_minus, M): the weights of the Dicke states of the M measured spins, which
+the Lambda integral of the paper's double integral gives in closed form and
+which are kept as logs, so nothing grows with N.  The probability of a single
+history is a weighted sum over the M + 1 coefficients of one polynomial.  A
+product average separates into the law's zeroth moment times a lambda mean of
+a trigonometric polynomial of degree M, which M + 1 equispaced nodes integrate
+exactly.  Plus-count parties in ``functional`` take the Dicke weights
+themselves.  The closed-form combinatoric routes (factorial sum, correction
+factor, Gaussian approximation) are kept alongside; the test suite holds the
+routes against each other.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lgamma
 
 import numpy as np
@@ -43,15 +44,6 @@ _TREE_BUDGET = 2 * 10**7
 _MAX_TREE_M = 20
 
 
-def _nodes(k: int) -> np.ndarray:
-    """K equispaced periodic trapezoid nodes on [-pi, pi).
-
-    Their mean integrates every trigonometric polynomial of degree < K
-    exactly, under the d(angle)/2pi convention.
-    """
-    return -np.pi + 2.0 * np.pi * np.arange(k) / k
-
-
 def normalization_cn(n_plus: int, n_minus: int) -> float:
     """Normalization coefficient of the outcome distribution.
 
@@ -68,27 +60,21 @@ def normalization_cn(n_plus: int, n_minus: int) -> float:
 
 
 def _population_logs(n_plus: int, n_minus: int, m: int):
-    """(up, down, offset): the logs of :func:`_falling_ratio` over any j <= m results,
+    """(up, down, offset): the logs of the Dicke weights over any j <= m results,
     log 2**j [n_plus]_s [n_minus]_(j - s) / [N]_j = up[s] + down[j - s] + offset_j,
-    with offset = offset_m; up and down are -inf where a population runs out.
+    with offset = offset_m and [a]_s the falling factorial; up and down are -inf
+    where a population runs out.
 
     Each factor is taken over N, so that the cumulative log sums stay small, and
-    is a ratio of integers rounded once before its log, so that the ratio is exact
-    to round-off at any N, also where a population is nearly used up.
+    is a ratio of Python integers rounded once before its log, so that the ratio
+    is exact to round-off at any N, also where a population is nearly used up
+    and where N is past the range of a 64-bit integer.
     """
-    n, steps = n_plus + n_minus, np.arange(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n = n_plus + n_minus
+    with np.errstate(divide="ignore"):
         up, down = (np.concatenate([[0.0], np.cumsum(np.log(
-            np.maximum(2 * (pop - steps), 0) / n))]) for pop in (n_plus, n_minus))
-        return up, down, -float(np.log((n - steps) / n).sum())
-
-
-def _falling_ratio(n_plus: int, n_minus: int, m: int) -> np.ndarray:
-    """2**m [n_plus]_s [n_minus]_(m - s) / [N]_m for s = 0..m, [a]_s the falling factorial;
-    it is 0 where a population runs out."""
-    up, down, offset = _population_logs(n_plus, n_minus, m)
-    with np.errstate(over="ignore"):
-        return np.exp(up + down[::-1] + offset)
+            [max(2 * (pop - s), 0) / n for s in range(m)]))]) for pop in (n_plus, n_minus))
+        return up, down, -float(np.log([(n - s) / n for s in range(m)]).sum())
 
 
 def _others(factors: np.ndarray, axis: int) -> np.ndarray:
@@ -101,63 +87,6 @@ def _others(factors: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(before * after, 0, axis)
 
 
-@dataclass(frozen=True)
-class _Bracket:
-    """The (Lambda, lambda) integral behind the product averages.
-
-    Summed over its outcome each bracket cos(Lambda) + eta cos(lambda - phi)
-    leaves 2 cos(lambda - phi), so a product average separates: a Lambda
-    integral, the closed-form moment ``moment0``, times the lambda mean of a
-    product of cosines.  That product is of degree at most M in lambda, and
-    M + 1 equispaced trapezoid nodes integrate it exactly.
-
-    Quantum law: the moment is 2**M C(N - M, n_plus - M/2) / C(N, n_plus) for
-    even M, a ratio of binomials, and 0 for odd M.  The classical-phase law has
-    moment 1.  Nothing grows with N.
-    """
-
-    moment0: float       # the Lambda integral, exactly (0 where it vanishes)
-    lam: np.ndarray      # lambda nodes, shape (1, K_lambda)
-
-    def __post_init__(self) -> None:
-        # instances are cached and shared, so their arrays must stay as built
-        self.lam.flags.writeable = False
-
-    @classmethod
-    @lru_cache(maxsize=32)
-    def quantum(cls, n_plus: int, n_minus: int, m: int) -> "_Bracket":
-        moment = 0.0 if m % 2 else float(_falling_ratio(n_plus, n_minus, m)[m // 2])
-        return cls(moment, _nodes(m + 1)[None, :])
-
-    @classmethod
-    @lru_cache(maxsize=32)
-    def classical(cls, m: int) -> "_Bracket":
-        return cls(1.0, _nodes(m + 1)[None, :])
-
-    @classmethod
-    def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Bracket":
-        if law == "exact":
-            return cls.quantum(n_plus, n_minus, m)
-        if law == "classical":
-            return cls.classical(m)
-        raise ValueError(f"unknown probability law {law!r}")
-
-    def cosine_products(self, rows: np.ndarray, mask=True, *, slopes: bool = False):
-        """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that
-        ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda).
-
-        With ``slopes`` also returns the derivative of each product by each of its
-        angles, sin(lambda - phi_j) times the other factors, shape (R, m, K_lambda);
-        the entries that ``mask`` drops hold no derivative.
-        """
-        transverse = self.lam[None] - rows[:, :, None]
-        cosines = np.where(np.asarray(mask)[..., None], np.cos(transverse), 1.0)
-        products = cosines.prod(axis=1)
-        if not slopes:
-            return products
-        return products, np.sin(transverse) * _others(cosines, axis=1)
-
-
 @lru_cache(maxsize=1024)
 def _log_modulus(phi: float) -> float:
     """log |zeta|**2 of the float zeta = exp(-i phi / 2), from |zeta|**2 - 1 taken exactly."""
@@ -166,36 +95,85 @@ def _log_modulus(phi: float) -> float:
 
 
 @dataclass(frozen=True)
-class _History:
-    """Single outcome histories of one law, each a row of j + 1 complex coefficients
-    after j results.
+class _Law:
+    """One probability law of the first M spins: the weights r_s of their Dicke
+    states, s of them of the + mode, and every route that reads them.
 
-    The bracket product of one history is rank one in (lambda, lambda'), so
+    The Lambda integral of the double integral leaves the closed form
+    r_s = 2**M [n_plus]_s [n_minus]_(M - s) / [N]_M for the quantum law, [a]_s the
+    falling factorial, and r = 1 for the classical-phase law.  They are kept as
+    logs, so that 2**M is never formed and nothing grows with N.
+
+    A single history is a row of j + 1 complex coefficients after j results.  Its
+    bracket product is rank one in (lambda, lambda'), so
     P(eta | phi) = sum_s r_s |e_(M - s)|**2 with every term >= 0, where e_k is the
-    coefficient of w**k in prod_j (1 + z_j w) / 2, z_j = eta_j exp(-i phi_j).  The
-    weights are r = _falling_ratio(n_plus, n_minus, M), the Dicke weights of the
-    first M spins, for the quantum law and r = 1 for the classical one; they are
-    kept as logs, so that 2**M is never formed.  A row holds the product of the
-    factors conj(zeta_j) + eta_j zeta_j w = conj(zeta_j) (1 + z_j w), with
-    zeta_j = exp(-i phi_j / 2), divided by a power of two.
+    coefficient of w**k in prod_j (1 + z_j w) / 2, z_j = eta_j exp(-i phi_j).  A row
+    holds the product of the factors conj(zeta_j) + eta_j zeta_j w =
+    conj(zeta_j) (1 + z_j w), with zeta_j = exp(-i phi_j / 2), divided by a power
+    of two.
+
+    A product average takes the moment r_(M/2) (0 for odd M) times the lambda mean
+    of a product of cosines (:meth:`cosine_products`), a trigonometric polynomial
+    of degree at most M, which the M + 1 equispaced nodes ``lam`` on [-pi, pi)
+    integrate exactly.  Plus-count parties take the weights ``dicke`` of the Dicke
+    states themselves.
     """
 
     up: np.ndarray
     down: np.ndarray
     offset: float        # log r_s = up[s] + down[M - s] + offset
+    moment0: float       # r_(M/2) for even M, 0 for odd M
+    lam: np.ndarray      # the M + 1 lambda nodes
 
     def __post_init__(self) -> None:
         # instances are cached and shared, so their arrays must stay as built
-        for a in (self.up, self.down):
+        for a in (self.up, self.down, self.lam):
             a.flags.writeable = False
 
     @classmethod
     @lru_cache(maxsize=32)
-    def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_History":
+    def for_law(cls, law: str, n_plus: int, n_minus: int, m: int) -> "_Law":
         if law not in ("exact", "classical"):
             raise ValueError(f"unknown probability law {law!r}")
-        return cls(*(_population_logs(n_plus, n_minus, m) if law == "exact"
-                     else (np.zeros(m + 1), np.zeros(m + 1), 0.0)))
+        up, down, offset = (_population_logs(n_plus, n_minus, m) if law == "exact"
+                            else (np.zeros(m + 1), np.zeros(m + 1), 0.0))
+        moment0 = 0.0 if m % 2 else float(np.exp(up[m // 2] + down[m // 2] + offset))
+        return cls(up, down, offset, moment0, -np.pi + 2.0 * np.pi * np.arange(m + 1) / (m + 1))
+
+    @cached_property
+    def dicke(self) -> np.ndarray:
+        """p_a = C(M, a) r_a / 2**M, a = 0..M: the weights of the Dicke states."""
+        m = self.lam.size - 1
+        binomials = np.array([math.log(math.comb(m, a)) for a in range(m + 1)]) - m * math.log(2.0)
+        out = np.exp(self.up + self.down[::-1] + self.offset + binomials)
+        out.flags.writeable = False
+        return out
+
+    def cosine_products(self, rows: np.ndarray, mask: np.ndarray, *, slopes: bool = False):
+        """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that the
+        boolean ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda).
+
+        The measurements are multiplied in slices of at most a quarter of the table
+        budget, each slice's first factor carrying the product so far, so memory does
+        not grow with m and the factors are multiplied in the same order.  With
+        ``slopes`` also returns the derivative of each product by each of its angles,
+        sin(lambda - phi_j) times the other factors, shape (R, m, K_lambda); the
+        entries that ``mask`` drops hold no derivative.
+        """
+        mask = mask[..., None]
+        if slopes:
+            transverse = self.lam - rows[:, :, None]
+            cosines = np.where(mask, np.cos(transverse), 1.0)
+            return cosines.prod(axis=1), np.sin(transverse) * _others(cosines, axis=1)
+        step = max(1, _TREE_BUDGET // (4 * rows.shape[0] * self.lam.size))
+        products = np.ones((rows.shape[0], self.lam.size))
+        for start in range(0, rows.shape[1], step):
+            part = slice(start, start + step)
+            cosines = np.where(mask[:, part], np.cos(self.lam - rows[:, part, None]), 1.0)
+            if start:
+                cosines[:, 0] *= products
+            products = cosines.prod(axis=1)
+        return products
 
     def logs(self, j: int) -> np.ndarray:
         """log r_(j - k) over the coefficients k = 0..j of rows of j results, largest 0;
@@ -269,13 +247,14 @@ class _History:
         return mass / mass.sum()
 
 
-def _product(kernel: _Bracket, rows) -> np.ndarray:
+def _product(kernel: _Law, rows) -> np.ndarray:
     """Product-of-results averages, one per angle row of the (R, M) array ``rows``.
 
     The kernel's closed-form moment times the lambda mean of the cosine
     product; the moment is exactly 0 for odd M and for |n_plus - n_minus| > N - M.
     """
-    lam_mean = kernel.cosine_products(np.asarray(rows, dtype=float)).mean(axis=1)
+    rows = np.asarray(rows, dtype=float)
+    lam_mean = kernel.cosine_products(rows, np.ones(rows.shape, dtype=bool)).mean(axis=1)
     return kernel.moment0 * lam_mean + 0.0  # + 0.0 turns a vanishing -0.0 into 0.0
 
 
@@ -288,7 +267,7 @@ def sequence_probability(config: ExperimentConfig, outcomes: OutcomeSequence) ->
     """
     if len(outcomes) != config.m:
         raise ValueError("outcome sequence length must match the angle count")
-    law = _History.for_law("exact", config.n_plus, config.n_minus, config.m)
+    law = _Law.for_law("exact", config.n_plus, config.n_minus, config.m)
     return float(law.probability(*law.follow(outcomes.etas, config.angles), config.angles)[0])
 
 
@@ -298,12 +277,12 @@ def all_sequence_probabilities(config: ExperimentConfig) -> np.ndarray:
     Index ``i`` holds the sequence whose j-th outcome is +1 exactly when bit
     j of ``i`` is set.
     """
-    return _History.for_law("exact", config.n_plus, config.n_minus, config.m).table(config.angles)
+    return _Law.for_law("exact", config.n_plus, config.n_minus, config.m).table(config.angles)
 
 
 def correlation_e(config: ExperimentConfig) -> float:
     """Quantum average of the product of all M results, by direct quadrature."""
-    kernel = _Bracket.quantum(config.n_plus, config.n_minus, config.m)
+    kernel = _Law.for_law("exact", config.n_plus, config.n_minus, config.m)
     return float(_product(kernel, [config.angles])[0])
 
 
@@ -395,13 +374,9 @@ def correction_factor_g(m: int, n_plus: int, n_minus: int) -> float:
     n = n_plus + n_minus
     if m > n:
         raise ValueError("cannot measure more spins than particles")
-    if m % 2:
-        return 0.0
-    h = m // 2
-    if n_plus < h or n_minus < h:
-        return 0.0
-    # C(M, h) [n_plus]_h [n_minus]_h / [N]_M, through the Lambda rule's own ratio
-    return math.comb(m, h) / 2**m * float(_falling_ratio(n_plus, n_minus, m)[h])
+    # C(M, h) r_h / 2**M = C(M, h) [n_plus]_h [n_minus]_h / [N]_M with h = M/2; the
+    # moment r_h is 0 for odd M and where a population runs out
+    return math.comb(m, m // 2) / 2**m * _Law.for_law("exact", n_plus, n_minus, m).moment0
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +399,17 @@ def classical_sequence_probability(angles, etas) -> float:
         raise ValueError("angles and outcomes must pair up")
     if any(e not in (-1, 1) for e in etas):
         raise ValueError("outcomes must be +-1")
-    law = _History.for_law("classical", 0, 0, len(angles))
+    law = _Law.for_law("classical", 0, 0, len(angles))
     return float(law.probability(*law.follow(etas, angles), angles)[0])
 
 
 def classical_all_probabilities(angles) -> np.ndarray:
     """All 2**M outcome probabilities under the classical-phase law."""
     angles = [float(a) for a in angles]
-    return _History.for_law("classical", 0, 0, len(angles)).table(angles)
+    return _Law.for_law("classical", 0, 0, len(angles)).table(angles)
 
 
 def classical_product_correlation(angles) -> float:
     """Product-of-results average under the classical-phase law."""
     angles = [float(a) for a in angles]
-    return float(_product(_Bracket.classical(len(angles)), [angles])[0])
+    return float(_product(_Law.for_law("classical", 0, 0, len(angles)), [angles])[0])

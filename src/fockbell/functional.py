@@ -4,17 +4,19 @@ A functional assigns each party a value in [-1, +1] computed from its local
 outcomes; the expectation weights those values with the exact outcome
 distribution (or, on request, the classical-phase law or the Gaussian
 approximation).  Every party functional depends only on how many of the
-party's results are +1, so two routes cover every layout:
+party's results are +1, so two routes cover every layout, both reading the
+law of the measured spins from ``exact._Law.for_law``:
 
-* a pure-product fast path (one product-correlation integral),
+* a pure-product fast path: the law's zeroth moment times one lambda mean of
+  a cosine product,
 * a plus-count route on Dicke states: the M measured spins of a double Fock
-  state are in a mixture of Dicke states |M, a> with weights p_a >= 0, and a
-  party is the matrix R = sum_k f(k) P_k over its own Dicke states, P_k the
-  projector on k of its results +1 (see :func:`_party`).  Parties couple
-  through the stretched Clebsch-Gordan weights, and the value is
-  sum_a p_a <M, a| R_A (x) R_B (x) ... |M, a>.  Every step is a contraction,
-  so the error stays at round-off for any M and any populations, and nothing
-  grows with N.
+  state are in a mixture of Dicke states |M, a> with the law's weights
+  p_a >= 0, and a party is the matrix R = sum_k f(k) P_k over its own Dicke
+  states, P_k the projector on k of its results +1 (see :func:`_party`).
+  Parties couple through the stretched Clebsch-Gordan weights, and the value
+  is sum_a p_a <M, a| R_A (x) R_B (x) ... |M, a>.  Every step is a
+  contraction, so the error stays at round-off for any M and any
+  populations, and nothing grows with N.
 
 :func:`bell_value` takes a Bell quantity, a signed sum of such averages.
 Where every party keeps the product of its results, each setting's factor is
@@ -189,18 +191,6 @@ def _party(angles, func: PartyFunctional, *, slopes: bool = False):
     return (combine(), {phi: combine(phi) for phi in mats}) if slopes else combine()
 
 
-@lru_cache(maxsize=32)
-def _dicke_weights(law: str, n_plus: int, n_minus: int, m: int) -> np.ndarray:
-    """p_a = C(M, a) r_a / 2**M, a = 0..M: the weights of the Dicke states of the
-    first M spins, a of them of the + mode, with r from the logs of
-    ``exact._History`` (r = 1 for the classical law)."""
-    history = exact._History.for_law(law, n_plus, n_minus, m)
-    binomials = np.array([math.log(comb(m, a)) for a in range(m + 1)]) - m * math.log(2.0)
-    out = np.exp(history.up + history.down[::-1] + history.offset + binomials)
-    out.flags.writeable = False
-    return out
-
-
 def _average(weights: np.ndarray, parties) -> float:
     """sum_a p_a <M, a| R_1 (x) R_2 (x) ... |M, a>: the parties coupled in order,
     the last one on the diagonal alone."""
@@ -247,7 +237,7 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
             return constant * exact.correlation_e(config)
         return constant * exact.classical_product_correlation(config.angles)
 
-    weights = _dicke_weights(law, config.n_plus, config.n_minus, config.m)
+    weights = exact._Law.for_law(law, config.n_plus, config.n_minus, config.m).dicke
     cuts = np.cumsum([0] + [count for count, _ in layout])
     parties = [_party(config.angles[start:stop], func)
                for start, stop, (_, func) in zip(cuts, cuts[1:], layout)]
@@ -335,7 +325,7 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     prod_b [X_b (Y_b + Y'_b) + X'_b (Y_b - Y'_b)], each factor a party's
     value at one setting (B = 1: T(a,b) + T(a',b) + T(a,b') - T(a',b')).
     For product parties every factor depends on lambda alone, and the value
-    is the kernel's exact moment times one lambda mean, so identically
+    is the law's exact moment times one lambda mean, so identically
     vanishing products give 0.0.  A ``bchsh`` layout with any other party
     takes its four averages T from :func:`expectation`.
     """
@@ -352,7 +342,7 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
             s * expectation(ExperimentConfig(n_plus, n_minus, settings[i] + settings[2 + j]),
                             spec.party_layout, law=law)
             for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
-    kernel = exact._Bracket.for_law(law, n_plus, n_minus, spec.m)
+    kernel = exact._Law.for_law(law, n_plus, n_minus, spec.m)
     lam_mean = float(_blocks(kernel.cosine_products(rows, mask)).prod(axis=0).mean())
     return prefactor * kernel.moment0 * lam_mean + 0.0  # + 0.0: no -0.0
 
@@ -366,7 +356,7 @@ def _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law) -> np.ndarray:
     matrix's slope with its partner.  A measurement's share of its group's slope
     is one part in the group size.
     """
-    weights = _dicke_weights(law, n_plus, n_minus, spec.m)
+    weights = exact._Law.for_law(law, n_plus, n_minus, spec.m).dicke
     settings = [tuple(row[keep]) for row, keep in zip(rows, mask)]
     parties = [_party(a, spec.party_layout[s // 2][1], slopes=True)
                for s, a in enumerate(settings)]
@@ -403,7 +393,7 @@ def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int |
         sums = np.einsum("kp,bvp->bkv", _MEMBERS, by_pair).reshape(4 * blocks, 2)
         slopes = prefactor * (sums[:, :1] / m - sums[:, 1:] * rows)
     elif _is_product(spec):
-        kernel = exact._Bracket.for_law(law, n_plus, n_minus, m)
+        kernel = exact._Law.for_law(law, n_plus, n_minus, m)
         f, by_angle = kernel.cosine_products(rows, mask, slopes=True)
         by_value = _block_slopes(f) * (prefactor * kernel.moment0 / kernel.lam.size)
         slopes = np.einsum("rk,rjk->rj", by_value, by_angle)

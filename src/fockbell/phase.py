@@ -92,7 +92,7 @@ def next_outcome_probability(config: ExperimentConfig, history, *,
     m = len(history)
     if m >= config.m:
         raise ValueError("history already covers every configured measurement")
-    law = exact._History.for_law(mode, config.n_plus, config.n_minus, config.m)
+    law = exact._Law.for_law(mode, config.n_plus, config.n_minus, config.m)
     row, _ = law.follow(history.etas, config.angles)
     return float(_branches(law, row, config.angles[m])[0][0])
 
@@ -169,7 +169,7 @@ def _philox_uniforms(seed: int, start: int, stop: int, m: int) -> np.ndarray:
     return words.reshape(stop - start, 4 * blocks)[:, :m] * 2.0**-53
 
 
-def _branches(law: exact._History, rows: np.ndarray, phi: float):
+def _branches(law: exact._Law, rows: np.ndarray, phi: float):
     """P(+1 | history) per history row, and the rows extended by -1 and by +1."""
     branches = np.stack([law.extend(rows, phi, eta) for eta in (-1, 1)])
     mass = law.mass(branches, law.logs(rows.shape[-1]))
@@ -179,7 +179,7 @@ def _branches(law: exact._History, rows: np.ndarray, phi: float):
     return mass[1] / total, branches
 
 
-def _sample_batch(law: exact._History, angles, u: np.ndarray) -> np.ndarray:
+def _sample_batch(law: exact._Law, angles, u: np.ndarray) -> np.ndarray:
     """Chain-rule sampling under either law, one rescaled coefficient row per count state.
 
     A state is a chain's vector of +1 counts per distinct angle; the -1 counts
@@ -230,7 +230,7 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
     M + 1 per distinct count state; each batch's Philox streams are computed
     together, so memory does not grow with ``count``.
     """
-    law = exact._History.for_law(mode, config.n_plus, config.n_minus, config.m)
+    law = exact._Law.for_law(mode, config.n_plus, config.n_minus, config.m)
     if count < 1:
         raise ValueError("need a positive sample count")
     m = config.m

@@ -247,9 +247,18 @@ class TestExitCodes:
         ("sample", {"n_plus": math.inf, "n_minus": 1, "angles": [0.1]}),
         ("qmax", {"form": "bchsh", "n": math.inf, "p": 1}),
         ("phase", {"angles": [math.inf], "outcomes": [1]}),
+        ("qmax", {"form": "bchsh", "n": 6.9, "p": 2}),
+        ("qmax", {"form": "bchsh", "n": 6, "p": 2.5}),
+        ("correlate", {"n_plus": True, "n_minus": 1, "angles": [0.1]}),
+        ("sample", {"n_plus": 1, "n_minus": 2**63, "angles": [0.1]}),
+        ("phase", {"angles": [0.1], "outcomes": [1.5]}),
+        ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**22}),
     ], ids=["coarse-resolution", "non-numeric-n", "non-numeric-p", "infinite-n-plus-correlate",
-            "infinite-n-plus-sample", "infinite-n", "infinite-angle"])
+            "infinite-n-plus-sample", "infinite-n", "infinite-angle", "fractional-n",
+            "fractional-p", "boolean-n-plus", "n-minus-past-int64", "fractional-outcome",
+            "resolution-past-int64"])
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, payload):
+        # integers are whole numbers that fit in 64 bits: none is truncated or wraps
         path = write(tmp_path, "in.json", payload)
         code, _, err = run(capsys, [command, path])
         assert code == 2
@@ -329,6 +338,19 @@ class TestExitCodes:
         g = Fraction(2 * half * half, 2 * half * (2 * half - 1))
         assert float(out.strip().split(",")[-1]) == pytest.approx(
             float(g) * math.cos(0.1), abs=1e-14)
+
+    @pytest.mark.parametrize("n_plus,n_minus", [(47 * 10**17, 4 * 10**18),
+                                                (6 * 10**18, 6 * 10**18)])
+    def test_populations_past_int64_correlate(self, tmp_path, capsys, n_plus, n_minus):
+        # 2 n_plus, and then N, is past the range of a 64-bit integer: E = G(2) cos 0.1
+        cfg = write(tmp_path, "c.json", {"n_plus": n_plus, "n_minus": n_minus,
+                                         "angles": [0.1, 0.2]})
+        code, out, err = run(capsys, ["correlate", cfg])
+        assert code == 0 and err == ""
+        n = n_plus + n_minus
+        g = Fraction(2 * n_plus * n_minus, n * (n - 1))
+        assert float(out.strip().split(",")[-1]) == pytest.approx(
+            float(g) * math.cos(0.1), rel=1e-13)
 
     def test_single_fock_state_at_large_n(self, tmp_path, capsys):
         # C_N = 2**-1100 is below the float range, and the weights absorb it:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -7,9 +8,10 @@ import pytest
 
 from fockbell import exact
 from fockbell.exact import (
-    _Bracket,
+    _Law,
     all_sequence_probabilities,
     classical_all_probabilities,
+    classical_product_correlation,
     classical_sequence_probability,
     correction_factor_g,
     correlation_closed_form,
@@ -53,9 +55,9 @@ class TestQuadratureRule:
         # degree M in lambda needs: the node mean of cos(d*x + 0.3), its integral
         # over dx/2pi, vanishes for 1 <= d <= M, and at d = K it does not
         m = k - 1
-        nodes = _Bracket.quantum(m + 3, m, m).lam.ravel()
+        nodes = _Law.for_law("exact", m + 3, m, m).lam
         assert nodes.size == k
-        assert np.array_equal(nodes, _Bracket.classical(m).lam.ravel())
+        assert np.array_equal(nodes, _Law.for_law("classical", 0, 0, m).lam)
         assert np.mean(np.cos(degree * nodes + 0.3)) == pytest.approx(0.0, abs=1e-13)
         assert abs(np.mean(np.cos(k * nodes + 0.3))) == pytest.approx(math.cos(0.3))
 
@@ -506,7 +508,32 @@ class TestAnyPopulation:
 
     def test_cost_does_not_grow_with_n(self):
         # the rule has M + 1 lambda nodes at any N
-        assert _Bracket.quantum(10**12, 10**12 + 4, 6).lam.size == 7
+        assert _Law.for_law("exact", 10**12, 10**12 + 4, 6).lam.size == 7
+
+    def test_sliced_products_are_bit_identical(self, monkeypatch):
+        # a budget of one slice per measurement carries the product from slice to
+        # slice in the order of one product over all of them
+        rng = np.random.default_rng(41)
+        law = _Law.for_law("exact", 9, 8, 17)
+        rows = rng.uniform(-np.pi, np.pi, (3, 17))
+        mask = np.arange(17) < np.array([[17], [9], [1]])
+        whole = np.where(mask[..., None], np.cos(law.lam - rows[:, :, None]), 1.0).prod(axis=1)
+        for budget in (1, 4 * 3 * 18 * 5, exact._TREE_BUDGET):
+            monkeypatch.setattr(exact, "_TREE_BUDGET", budget)
+            assert np.array_equal(law.cosine_products(rows, mask), whole)
+
+    def test_memory_does_not_grow_with_m_squared(self):
+        # N = M = 6000 takes (M + 1)**2 cosines, 288 MB at once; in slices the
+        # peak stays within the table budget
+        angles = tuple(np.random.default_rng(6).uniform(-np.pi, np.pi, 6000))
+        config = ExperimentConfig(3000, 3000, angles)
+        tracemalloc.start()
+        try:
+            correlation_e(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * exact._TREE_BUDGET
 
 
 class TestClassicalLaw:
@@ -539,6 +566,12 @@ class TestClassicalLaw:
                 worst[n] = max(worst[n], abs(exact_p - classical_p) / exact_p)
         assert worst[1000] < 0.01
         assert worst[1000] < worst[200]
+
+    def test_odd_product_is_exactly_zero(self):
+        # a product of an odd number of cosines has no constant term in lambda
+        rng = np.random.default_rng(3)
+        for angles in ([0.3, 1.1, -2.0], rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 7)):
+            assert classical_product_correlation(angles) == 0.0
 
     @pytest.mark.parametrize("m", [1023, 1100])
     def test_long_sequence_against_log_space_sum(self, m):

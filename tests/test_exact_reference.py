@@ -190,10 +190,13 @@ class TestAgainstSixthTurnReference(TestAgainstReference):
     UNIT = 6
 
 
-@pytest.mark.parametrize("n_plus,n_minus,m", POPULATIONS + [(2 * 10**12, 3, 6)])
+@pytest.mark.parametrize("n_plus,n_minus,m", POPULATIONS + [
+    (2 * 10**12, 3, 6), (47 * 10**17, 4 * 10**18, 2), (10**22, 5, 10)])
 def test_correction_factor_g(n_plus, n_minus, m):
-    # C(M, h) [n_plus]_h [n_minus]_h / [N]_M with h = M/2, zero for odd M; the last
-    # population uses up the smaller one, where each factor's log must not lose digits
+    # C(M, h) [n_plus]_h [n_minus]_h / [N]_M with h = M/2, zero for odd M.  At
+    # (2e12, 3) and (1e22, 5) the smaller population is used up, where each factor's
+    # log must not lose digits; 2 n_plus at (4.7e18, 4e18), and N at (1e22, 5), are
+    # past the range of a 64-bit integer
     h = m // 2
     want = Fraction(math.comb(m, h) * falling(n_plus, h) * falling(n_minus, h),
                     falling(n_plus + n_minus, m))

@@ -313,6 +313,13 @@ class TestBellValue:
             val = bell_value(spec, angles, 2, 2, law="classical")
             assert abs(val) <= 2.0 + 1e-9
 
+    def test_classical_odd_product_is_exactly_zero(self):
+        # an odd number of cosines has no constant term in lambda, so the law's moment
+        # is 0 for odd M under the classical law too, not a lambda mean's round-off
+        spec = BellFunctionalSpec.bchsh(1, 2)
+        for angles in ([0.1, 0.7, 1.3, -0.4], np.random.default_rng(3).uniform(-3, 3, 4)):
+            assert bell_value(spec, angles, 2, 1, law="classical") == 0.0
+
     def test_global_sign_flip_invariance(self):
         # adding pi to every measurement flips every eta; even products of
         # an even measurement count are unchanged

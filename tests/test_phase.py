@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockbell import phase
-from fockbell.exact import _History, sequence_probability
+from fockbell.exact import _Law, sequence_probability
 from fockbell.model import ExperimentConfig, OutcomeSequence, PhaseDistribution
 from fockbell.phase import (
     ConditioningError,
@@ -303,7 +303,7 @@ class TestSampling:
     def test_deduplicated_rows_match_per_chain_rule(self, monkeypatch, law, half, angles,
                                                     fewer_rows_than_chains):
         m, count = len(angles), 64
-        law = _History.for_law(law, half, half, m)
+        law = _Law.for_law(law, half, half, m)
         u = np.stack([chain_generator(11, c).random(m) for c in range(count)])
         live = []
 
