@@ -80,11 +80,19 @@ def _population_logs(n_plus: int, n_minus: int, m: int):
 def _others(factors: np.ndarray, axis: int) -> np.ndarray:
     """For each entry, the product of the other entries along ``axis``: prefix
     times suffix products, so that a zero factor is never divided out."""
-    f = np.moveaxis(factors, axis, 0)
-    ones = np.ones_like(f[:1])
-    before = np.cumprod(np.concatenate([ones, f[:-1]]), axis=0)
-    after = np.cumprod(np.concatenate([ones, f[:0:-1]]), axis=0)[::-1]
-    return np.moveaxis(before * after, 0, axis)
+    f = factors.swapaxes(0, axis)
+    before, after = np.ones_like(f), np.ones_like(f)
+    np.cumprod(f[:-1], axis=0, out=before[1:])
+    np.cumprod(f[:0:-1], axis=0, out=after[-2::-1])
+    return (before * after).swapaxes(0, axis)
+
+
+def _binomials(m: int) -> list[int]:
+    """C(m, k) for k = 0..m as exact integers, each entry from the one before."""
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
 
 
 @lru_cache(maxsize=1024)
@@ -144,35 +152,43 @@ class _Law:
     def dicke(self) -> np.ndarray:
         """p_a = C(M, a) r_a / 2**M, a = 0..M: the weights of the Dicke states."""
         m = self.lam.size - 1
-        binomials = np.array([math.log(math.comb(m, a)) for a in range(m + 1)]) - m * math.log(2.0)
+        binomials = np.array([math.log(b) for b in _binomials(m)]) - m * math.log(2.0)
         out = np.exp(self.up + self.down[::-1] + self.offset + binomials)
         out.flags.writeable = False
         return out
 
-    def cosine_products(self, rows: np.ndarray, mask: np.ndarray, *, slopes: bool = False):
-        """prod_j cos(lambda - phi_j) over the lambda nodes, phi_j the angles that the
-        boolean ``mask`` keeps in each row of the (R, m) array ``rows``: shape (R, K_lambda).
+    def cosine_products(self, rows: np.ndarray, powers: np.ndarray, *, slopes: bool = False):
+        """prod_j cos(lambda - phi_j)**c_j over the lambda nodes, phi_j and c_j >= 0 the
+        entries of the (R, m) arrays ``rows`` and integer ``powers``: shape (R, K_lambda).
 
         The measurements are multiplied in slices of at most a quarter of the table
         budget, each slice's first factor carrying the product so far, so memory does
         not grow with m and the factors are multiplied in the same order.  With
         ``slopes`` also returns the derivative of each product by each of its angles,
-        sin(lambda - phi_j) times the other factors, shape (R, m, K_lambda); the
-        entries that ``mask`` drops hold no derivative.
+        c_j cos(lambda - phi_j)**(c_j - 1) sin(lambda - phi_j) times the other
+        factors, shape (R, m, K_lambda), 0 where c_j = 0; raises ValueError, before
+        any work, where that array would exceed a quarter of the budget.
         """
-        mask = mask[..., None]
+        powers = powers[..., None]
+        # the select is much faster than a power, and faster on a boolean condition
+        raised = np.power if powers.max(initial=0) > 1 else lambda c, p: np.where(p > 0, c, 1.0)
         if slopes:
+            if 4 * rows.size * self.lam.size > _TREE_BUDGET:
+                raise ValueError(f"slopes of {rows.shape} angles exceed the table budget")
             transverse = self.lam - rows[:, :, None]
-            cosines = np.where(mask, np.cos(transverse), 1.0)
-            return cosines.prod(axis=1), np.sin(transverse) * _others(cosines, axis=1)
+            cosines = np.cos(transverse)
+            factors = raised(cosines, powers)
+            by_angle = powers * raised(cosines, powers - 1) * np.sin(transverse)
+            if rows.shape[1] > 1:
+                by_angle *= _others(factors, axis=1)
+            return factors.prod(axis=1), by_angle
         step = max(1, _TREE_BUDGET // (4 * rows.shape[0] * self.lam.size))
-        products = np.ones((rows.shape[0], self.lam.size))
-        for start in range(0, rows.shape[1], step):
+        for start in range(0, max(rows.shape[1], 1), step):  # m = 0: one empty product
             part = slice(start, start + step)
-            cosines = np.where(mask[:, part], np.cos(self.lam - rows[:, part, None]), 1.0)
+            factors = raised(np.cos(self.lam - rows[:, part, None]), powers[:, part])
             if start:
-                cosines[:, 0] *= products
-            products = cosines.prod(axis=1)
+                factors[:, 0] *= products
+            products = factors.prod(axis=1)
         return products
 
     def logs(self, j: int) -> np.ndarray:
@@ -254,7 +270,7 @@ def _product(kernel: _Law, rows) -> np.ndarray:
     product; the moment is exactly 0 for odd M and for |n_plus - n_minus| > N - M.
     """
     rows = np.asarray(rows, dtype=float)
-    lam_mean = kernel.cosine_products(rows, np.ones(rows.shape, dtype=bool)).mean(axis=1)
+    lam_mean = kernel.cosine_products(rows, np.ones(rows.shape, dtype=int)).mean(axis=1)
     return kernel.moment0 * lam_mean + 0.0  # + 0.0 turns a vanishing -0.0 into 0.0
 
 

@@ -20,12 +20,13 @@ law of the measured spins from ``exact._Law.for_law``:
 
 :func:`bell_value` takes a Bell quantity, a signed sum of such averages.
 Where every party keeps the product of its results, each setting's factor is
-a cosine product in lambda alone and the whole quantity is one lambda mean of
-a product of blocks; a ``bchsh`` quantity with a plus-count party is the
-signed sum of its four averages.  Every such quantity is a trigonometric
-polynomial in the angles, and :func:`_bell_gradient` gives its exact
-derivative by each of them, which the free-angle optimizer climbs; a
-plus-count party's matrix moves with its angle as dR/dphi = -i (J R - R J).
+a cosine power in lambda alone and the whole quantity is one lambda mean of a
+product of blocks; a ``bchsh`` quantity with a plus-count party is the signed
+sum of its four averages.  Every such quantity is a trigonometric polynomial
+in the angles, and ``bell_value(..., slopes=True)`` gives with it, from one
+pass, its exact derivative by each of them, which the free-angle optimizer
+climbs; a plus-count party's matrix moves with its angle as
+dR/dphi = -i (J R - R J).
 
 The tests hold these against the full outcome table of
 ``exact.all_sequence_probabilities``, the state-vector oracle, exact integer
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache, reduce
-from math import comb
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def _stretched(small: int, large: int):
     C(small + large, a)) of |small + large, a> in |small, j>|large, a - j>, 0 where
     a - j is out of range, and the index a - j clipped into range.  Each ratio is
     one correctly rounded division of integers."""
-    bs, bl, b = ([comb(c, k) for k in range(c + 1)] for c in (small, large, small + large))
+    bs, bl, b = map(exact._binomials, (small, large, small + large))
     ratios = [[bs[j] * bl[a - j] / b[a] if 0 <= a - j <= large else 0.0
                for j in range(small + 1)] for a in range(small + large + 1)]
     index = np.clip(np.arange(small + large + 1)[:, None] - np.arange(small + 1), 0, large)
@@ -244,49 +244,55 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
     return constant * _average(weights, parties)
 
 
-def _is_product(spec: BellFunctionalSpec) -> bool:
-    return all(f.kind == "product" for _, f in spec.party_layout)
+@lru_cache(maxsize=64)
+def _slot_layout(spec: BellFunctionalSpec):
+    """Per setting slot (2p and 2p + 1 set party p) its party's measurement count, the
+    mask of those in a row of the largest count, and whether every party is a product."""
+    counts = np.array([c for c, _ in spec.party_layout for _ in range(2)])
+    mask = np.arange(max(counts)) < counts[:, None]
+    counts.flags.writeable = mask.flags.writeable = False
+    return counts, mask, all(f.kind == "product" for _, f in spec.party_layout)
 
 
 def _setting_rows(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int, law: str):
-    """Validated setting rows of :func:`bell_value` and :func:`_bell_gradient`.
-
-    Slots 2p and 2p + 1 set party p: one row each, zero-padded, with the mask
-    of the party's measurements.
-    """
-    n, m, blocks, layout = n_plus + n_minus, spec.m, spec.block_count, spec.party_layout
+    """Validated settings of :func:`bell_value`, slot s in row s of (R, w) arrays of
+    angles and multiplicities: where every slot is one angle, w = 1 and each
+    multiplicity is the party's count; otherwise one angle per measurement,
+    multiplicity 1, zero-padded to the largest count."""
+    n, m, blocks = n_plus + n_minus, spec.m, spec.block_count
     if not all(float(p).is_integer() and p >= 0 for p in (n_plus, n_minus)) or m > n:
         raise ValueError(f"populations ({n_plus}, {n_minus}) cannot supply {m} measurements")
     if len(angles) != 4 * blocks:
         raise ValueError(f"{spec.form} takes {4 * blocks} setting slots")
-    counts = np.array([c for c, _ in layout for _ in range(2)])
-    rows, mask = np.zeros((len(counts), max(counts))), np.arange(max(counts)) < counts[:, None]
-    for row, value, count in zip(rows, angles, counts):
-        row[:count] = value  # one angle for the setting, or one per measurement
+    counts, mask, product = _slot_layout(spec)
+    if isinstance(angles, np.ndarray) and angles.ndim == 1 or all(
+            np.ndim(a) == 0 for a in angles):
+        rows, powers = np.array(angles, dtype=float)[:, None], counts[:, None]
+    else:
+        rows, powers = np.zeros(mask.shape), mask.astype(int)
+        for row, value, count in zip(rows, angles, counts):
+            row[:count] = value  # one angle for the setting, or one per measurement
     if not np.isfinite(rows).all():
         raise ValueError(f"setting angles must be finite, got {angles}")
     if law not in ("exact", "classical", "gaussian"):
         raise ValueError(f"unknown probability law {law!r}")
-    if law == "gaussian" and (not _is_product(spec) or n_plus != n_minus or m != n):
+    if law == "gaussian" and (not product or n_plus != n_minus or m != n):
         raise ValueError("gaussian law needs product functionals, equal populations and "
                          f"every particle measured, got ({n_plus}, {n_minus}), M = {m}")
     if spec.form != "bchsh" and m != n:
         raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
-    return rows, mask
+    return rows, powers
 
 
-def _blocks(f: np.ndarray) -> np.ndarray:
+def _blocks(f: np.ndarray):
     """X (Y + Y') + X' (Y - Y') for each block of the setting factors f, slot 4b + k
-    along axis 0 with k over (X, X', Y, Y')."""
+    along axis 0 with k over (X, X', Y, Y'), and each factor's partner in its block,
+    (Y + Y', Y - Y', X + X', X - X'), shaped as f."""
     x, xp, y, yp = f[0::4], f[1::4], f[2::4], f[3::4]
-    return x * (y + yp) + xp * (y - yp)
-
-
-def _block_slopes(f: np.ndarray) -> np.ndarray:
-    """Derivative of the product of the blocks by each setting factor, shaped as f."""
-    x, xp, y, yp = f[0::4], f[1::4], f[2::4], f[3::4]
-    own = np.stack([y + yp, y - yp, x + xp, x - xp], axis=1)
-    return (own * exact._others(_blocks(f), axis=0)[:, None]).reshape(f.shape)
+    partners = np.empty_like(f)
+    partners[0::4], partners[1::4], partners[2::4], partners[3::4] = (
+        y + yp, y - yp, x + xp, x - xp)
+    return x * partners[0::4] + xp * partners[1::4], partners
 
 
 def _gaussian_terms(rows: np.ndarray, m: int, blocks: int):
@@ -304,7 +310,7 @@ def _gaussian_terms(rows: np.ndarray, m: int, blocks: int):
 
 
 def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
-               *, law: str = "exact") -> float:
+               *, law: str = "exact", slopes: bool = False):
     """Quantum average of the Bell quantity for a full angle assignment.
 
     Parameters
@@ -320,88 +326,85 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     law : {"exact", "classical", "gaussian"}
         The Gaussian approximation needs product functionals, equal
         populations and every particle measured.
+    slopes : bool
+        Also return the derivative by every angle in slot order: one entry for
+        a slot of one angle, one per measurement for a vector slot.
 
     With B blocks the value is 2**(1 - B) times the average of
     prod_b [X_b (Y_b + Y'_b) + X'_b (Y_b - Y'_b)], each factor a party's
     value at one setting (B = 1: T(a,b) + T(a',b) + T(a,b') - T(a',b')).
-    For product parties every factor depends on lambda alone, and the value
-    is the law's exact moment times one lambda mean, so identically
-    vanishing products give 0.0.  A ``bchsh`` layout with any other party
-    takes its four averages T from :func:`expectation`.
+    For product parties every factor depends on lambda alone, a setting of
+    one angle is one cosine power, and the value is the law's exact moment
+    times one lambda mean, so identically vanishing products give 0.0.  A
+    ``bchsh`` layout with any other party takes its four averages T from
+    :func:`expectation`.  The value is the same float with and without
+    ``slopes``, which raise ValueError where the cosines of vector slots of
+    product parties would exceed a quarter of ``exact._TREE_BUDGET``.
     """
     if n_minus is None:
         n_minus = n_plus
-    rows, mask = _setting_rows(spec, angles, n_plus, n_minus, law)
-    prefactor = 2.0 ** (1 - spec.block_count)
+    rows, powers = _setting_rows(spec, angles, n_plus, n_minus, law)
+    _, mask, product = _slot_layout(spec)
+    m, blocks = spec.m, spec.block_count
+    prefactor = 2.0 ** (1 - blocks)
     if law == "gaussian":
-        return prefactor * float(_gaussian_terms(rows, spec.m, spec.block_count)[0].sum())
-    if not _is_product(spec):
+        full = np.where(mask, rows, 0.0)  # one angle per measurement
+        terms, t1 = _gaussian_terms(full, m, blocks)
+        value = prefactor * float(terms.sum())
+        if slopes:
+            # d term / d phi = term (t1 / M - phi) for every angle phi of the term
+            axes = [tuple(a for a in range(blocks) if a != b) for b in range(blocks)]
+            by_pair = np.array([[(terms * t1).sum(axis=ax), terms.sum(axis=ax)] for ax in axes])
+            # the setting pairs (x_i, y_j) at index 2i + j that contain x, x', y, y'
+            sums = np.einsum("kp,bvp->bkv", _MEMBERS, by_pair).reshape(4 * blocks, 2)
+            grad = np.where(mask, prefactor * (sums[:, :1] / m - sums[:, 1:] * full), 0.0)
+    elif not product:
         # a plus-count party, so bchsh: the signed sum of the averages T(x_i, y_j)
-        settings = [tuple(row[keep]) for row, keep in zip(rows, mask)]
-        return math.fsum(
+        settings = [tuple(np.repeat(row, c)) for row, c in zip(rows, powers)]
+        value = math.fsum(
             s * expectation(ExperimentConfig(n_plus, n_minus, settings[i] + settings[2 + j]),
                             spec.party_layout, law=law)
             for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
-    kernel = exact._Law.for_law(law, n_plus, n_minus, spec.m)
-    lam_mean = float(_blocks(kernel.cosine_products(rows, mask)).prod(axis=0).mean())
-    return prefactor * kernel.moment0 * lam_mean + 0.0  # + 0.0: no -0.0
+        if slopes:
+            grad = _plus_count_slopes(spec, settings, rows, powers,
+                                      exact._Law.for_law(law, n_plus, n_minus, m).dicke)
+    else:
+        kernel = exact._Law.for_law(law, n_plus, n_minus, m)
+        f, by_angle = (kernel.cosine_products(rows, powers, slopes=True) if slopes
+                       else (kernel.cosine_products(rows, powers), None))
+        values, partners = _blocks(f)
+        value = prefactor * kernel.moment0 * float(values.prod(axis=0).mean()) + 0.0  # no -0.0
+        if slopes:
+            # d prod_b block_b / d f = f's partner times the other blocks
+            others = exact._others(values, axis=0) * (prefactor * kernel.moment0 / f.shape[1])
+            grad = np.einsum("rk,rjk->rj", partners * np.repeat(others, 4, axis=0), by_angle)
+    if not slopes:
+        return value
+    if rows.shape[1] == 1:
+        return value, grad.sum(axis=1)
+    return value, np.concatenate([[row.sum()] if np.size(a) == 1 else row[:np.size(a)]
+                                  for row, a in zip(grad, angles)])
 
 
-def _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law) -> np.ndarray:
-    """d bell_value / d phi for every measurement of a bchsh layout with a plus-count
-    party, shaped as ``rows``.
+def _plus_count_slopes(spec, settings, rows, powers, weights) -> np.ndarray:
+    """d bell_value / d angle for every entry of ``rows`` of a bchsh layout with a
+    plus-count party, ``settings`` the slots' angles one per measurement.
 
     The value B(R_x, R_y + R_y') + B(R_x', R_y - R_y') is linear in each party
-    matrix, B the coupling of :func:`_average`, so a setting's slope couples its
-    matrix's slope with its partner.  A measurement's share of its group's slope
-    is one part in the group size.
+    matrix, B the coupling of :func:`_average` with the Dicke ``weights``, so a
+    setting's slope couples its matrix's slope with its partner.  An entry of
+    multiplicity c takes c shares of its group's slope, one per measurement.
     """
-    weights = exact._Law.for_law(law, n_plus, n_minus, spec.m).dicke
-    settings = [tuple(row[keep]) for row, keep in zip(rows, mask)]
     parties = [_party(a, spec.party_layout[s // 2][1], slopes=True)
                for s, a in enumerate(settings)]
     x, xp, y, yp = (value for value, _ in parties)
     out = np.zeros(rows.shape)
     for s, (a, (_, slopes), partner) in enumerate(
             zip(settings, parties, (y + yp, y - yp, x + xp, x - xp))):
-        totals = {phi: _average(weights, [slope, partner]) / a.count(phi)
-                  for phi, slope in slopes.items()}
-        out[s, :len(a)] = [totals[phi] for phi in a]
+        totals = {phi: _average(weights, [slope, partner]) for phi, slope in slopes.items()}
+        out[s] = [totals[phi] / (a.count(phi) / c) if c else 0.0
+                  for phi, c in zip(rows[s], powers[s])]
     return out
-
-
-def _bell_gradient(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | None = None,
-                   *, law: str = "exact") -> np.ndarray:
-    """Derivative of :func:`bell_value` by every angle, flattened in slot order: one
-    entry for a slot given as one angle, one per measurement for a vector slot.
-
-    Product layouts differentiate the block product through each setting's
-    cosine product, the Gaussian law each cross term's exponent, and plus-count
-    parties their matrices' slopes (see :func:`_plus_count_slopes`).
-    """
-    if n_minus is None:
-        n_minus = n_plus
-    rows, mask = _setting_rows(spec, angles, n_plus, n_minus, law)
-    m, blocks = spec.m, spec.block_count
-    prefactor = 2.0 ** (1 - blocks)
-    if law == "gaussian":
-        # d term / d phi = term (t1 / M - phi) for every angle phi of the term
-        terms, t1 = _gaussian_terms(rows, m, blocks)
-        axes = [tuple(a for a in range(blocks) if a != b) for b in range(blocks)]
-        by_pair = np.array([[(terms * t1).sum(axis=ax), terms.sum(axis=ax)] for ax in axes])
-        # the setting pairs (x_i, y_j) at index 2i + j that contain x, x', y, y'
-        sums = np.einsum("kp,bvp->bkv", _MEMBERS, by_pair).reshape(4 * blocks, 2)
-        slopes = prefactor * (sums[:, :1] / m - sums[:, 1:] * rows)
-    elif _is_product(spec):
-        kernel = exact._Law.for_law(law, n_plus, n_minus, m)
-        f, by_angle = kernel.cosine_products(rows, mask, slopes=True)
-        by_value = _block_slopes(f) * (prefactor * kernel.moment0 / kernel.lam.size)
-        slopes = np.einsum("rk,rjk->rj", by_value, by_angle)
-    else:
-        slopes = _plus_count_slopes(spec, rows, mask, n_plus, n_minus, law)
-    slopes = np.where(mask, slopes, 0.0)
-    return np.concatenate([[row.sum()] if np.size(value) == 1 else row[:np.size(value)]
-                           for row, value in zip(slopes, angles)])
 
 
 def semi_mesoscopic_value(n: int, angles, *, law: str = "exact") -> float:

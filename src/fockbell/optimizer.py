@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import _closed_form_sum, correlation_closed_form
-from .functional import _bell_gradient, bell_value
+from .functional import bell_value
 from .model import BellFunctionalSpec, FanAngles
 
 __all__ = [
@@ -133,10 +133,11 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
                   ) -> OptimizationResult:
     """Maximize the Bell quantity over every free angle slot.
 
-    Multi-start BFGS on the analytic gradient; a restart stops when the
-    largest gradient component falls under 1e-8, when the line search can
-    make no more progress, or after ``maxiter`` BFGS iterations (default 200
-    per free slot), and leaves a :class:`RestartRecord`.  The first slot is
+    Multi-start BFGS, each point's value and analytic gradient from one
+    ``bell_value(..., slopes=True)`` call; a restart stops when the largest
+    gradient component falls under 1e-8, when the line search can make no
+    more progress, or after ``maxiter`` BFGS iterations (default 200 per
+    free slot), and leaves a :class:`RestartRecord`.  The first slot is
     pinned to 0, which costs nothing by shift covariance.  The best restart
     wins, ties broken toward the lowest restart index.
 
@@ -166,22 +167,21 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
         slots = np.concatenate([[0.0], x])
         return np.split(slots, cuts) if per_measurement else slots
 
-    def negative(x: np.ndarray) -> float:
-        return -bell_value(spec, settings(x), n_plus, n_minus, law=law)
-
-    def negative_slope(x: np.ndarray) -> np.ndarray:
-        return -_bell_gradient(spec, settings(x), n_plus, n_minus, law=law)[1:]
+    def negative(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, slopes = bell_value(spec, settings(x), n_plus, n_minus, law=law, slopes=True)
+        return -value, -slopes[1:]
 
     def run_restart(index: int):
         x0 = np.array([
             (2.0 * _uniform_from_counter(seed, index * ndim + s) - 1.0) * start_scale
             for s in range(ndim)
         ])
-        res = minimize(negative, x0, jac=negative_slope, method="BFGS", options=options)
+        res = minimize(negative, x0, jac=True, method="BFGS", options=options)
         # scipy's success flag reports that stall (precision loss) as a failure,
         # so convergence is read off the final gradient
         norm = float(np.max(np.abs(res.jac)))
-        record = RestartRecord(value=-float(res.fun), nfev=int(res.nfev), njev=int(res.njev),
+        # every pass computes a gradient, also where the line search reads the value alone
+        record = RestartRecord(value=-float(res.fun), nfev=int(res.nfev), njev=int(res.nfev),
                                gradient_norm=norm, converged=norm <= _CONVERGED_GRADIENT)
         return record, res.x
 

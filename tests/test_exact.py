@@ -520,7 +520,29 @@ class TestAnyPopulation:
         whole = np.where(mask[..., None], np.cos(law.lam - rows[:, :, None]), 1.0).prod(axis=1)
         for budget in (1, 4 * 3 * 18 * 5, exact._TREE_BUDGET):
             monkeypatch.setattr(exact, "_TREE_BUDGET", budget)
-            assert np.array_equal(law.cosine_products(rows, mask), whole)
+            assert np.array_equal(law.cosine_products(rows, mask.astype(int)), whole)
+
+    def test_powers_are_repeated_factors(self):
+        # a power c stands for c equal cosines, and its slope for the c slopes summed
+        rng = np.random.default_rng(43)
+        law = _Law.for_law("exact", 6, 6, 12)
+        angles, counts = rng.uniform(-np.pi, np.pi, 3), np.array([5, 1, 3])
+        whole, by_angle = law.cosine_products(angles[:, None], counts[:, None], slopes=True)
+        single = np.repeat(angles, counts)[None]
+        product, by_one = law.cosine_products(single, np.ones(single.shape, dtype=int),
+                                              slopes=True)
+        np.testing.assert_allclose(whole.prod(axis=0), product[0], rtol=0, atol=1e-15)
+        summed = np.add.reduceat(by_one[0], np.cumsum([0, 5, 1]), axis=0)
+        np.testing.assert_allclose(by_angle[:, 0] * exact._others(whole, axis=0), summed,
+                                   rtol=0, atol=1e-14)
+
+    def test_dicke_weights_take_exact_binomials(self):
+        # the running integer row gives C(M, a) bit for bit
+        for n_plus, n_minus, m in [(3, 4, 7), (40, 25, 60), (700, 800, 1500)]:
+            law = _Law.for_law("exact", n_plus, n_minus, m)
+            logs = np.array([math.log(math.comb(m, a)) for a in range(m + 1)])
+            want = np.exp(law.up + law.down[::-1] + law.offset + (logs - m * math.log(2.0)))
+            assert np.array_equal(law.dicke, want)
 
     def test_memory_does_not_grow_with_m_squared(self):
         # N = M = 6000 takes (M + 1)**2 cosines, 288 MB at once; in slices the

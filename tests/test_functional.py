@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from fockbell.exact import (
     correlation_closed_form,
     correlation_e,
 )
-from fockbell.functional import _bell_gradient, bell_value, expectation, semi_mesoscopic_value
+from fockbell.functional import bell_value, expectation, semi_mesoscopic_value
 from fockbell.model import (
     BellFunctionalSpec,
     ExperimentConfig,
@@ -341,7 +342,7 @@ class TestBellValue:
 
 
 def central_differences(spec, angles, n_plus, n_minus, law, h=1e-5):
-    """d bell_value / d angle by central differences, flattened as _bell_gradient is."""
+    """d bell_value / d angle by central differences, flattened as its slopes are."""
     flat = np.concatenate([np.ravel(a) for a in angles]).astype(float)
     cuts = np.cumsum([np.size(a) for a in angles])[:-1]
 
@@ -357,6 +358,17 @@ def central_differences(spec, angles, n_plus, n_minus, law, h=1e-5):
     return out
 
 
+# every form under every law that takes it, and a plus-count bchsh
+SLOPE_CASES = [
+    pytest.param(spec, law, id=f"{name}-{law}")
+    for name, spec in [("bchsh", BellFunctionalSpec.bchsh(3, 5)),
+                       ("double", BellFunctionalSpec.double_bchsh((3, 2, 3, 2))),
+                       ("triple", BellFunctionalSpec.triple_bchsh((2, 1, 2, 1, 1, 3)))]
+    for law in ("exact", "classical", "gaussian")
+] + [pytest.param(BellFunctionalSpec.bchsh(3, 2, BINNED_ZERO, PartyFunctional.pair_average()),
+                  law, id=f"plus-count-{law}") for law in ("exact", "classical")]
+
+
 class TestBellGradient:
     @pytest.mark.parametrize("law", ["exact", "classical", "gaussian"])
     @pytest.mark.parametrize("spec", [
@@ -369,7 +381,7 @@ class TestBellGradient:
         n = spec.m // 2
         for _ in range(3):
             angles = rng.uniform(-np.pi, np.pi, 4 * spec.block_count)
-            np.testing.assert_allclose(_bell_gradient(spec, angles, n, n, law=law),
+            np.testing.assert_allclose(bell_value(spec, angles, n, n, law=law, slopes=True)[1],
                                        central_differences(spec, angles, n, n, law),
                                        rtol=0, atol=1e-7)
 
@@ -380,15 +392,15 @@ class TestBellGradient:
         spec = BellFunctionalSpec.bchsh(2, 4)
         angles = [np.array([0.3, -1.2]), np.array([0.7, 0.7]),
                   np.array([1.1, -0.4, 1.1, 2.0]), 0.5]
-        np.testing.assert_allclose(_bell_gradient(spec, angles, n_plus, n_minus, law=law),
-                                   central_differences(spec, angles, n_plus, n_minus, law),
-                                   rtol=0, atol=1e-7)
+        np.testing.assert_allclose(
+            bell_value(spec, angles, n_plus, n_minus, law=law, slopes=True)[1],
+            central_differences(spec, angles, n_plus, n_minus, law), rtol=0, atol=1e-7)
 
     def test_block_form_at_unequal_populations_is_flat(self):
         # every letter product vanishes identically, so does every slope
         spec = BellFunctionalSpec.double_bchsh((2, 1, 2, 1))
         angles = np.random.default_rng(89).uniform(-np.pi, np.pi, 8)
-        assert not _bell_gradient(spec, angles, 2, 4).any()
+        assert not bell_value(spec, angles, 2, 4, slopes=True)[1].any()
 
     @pytest.mark.parametrize("law", ["exact", "classical"])
     @pytest.mark.parametrize("alice, bob", [
@@ -405,7 +417,7 @@ class TestBellGradient:
         a = rng.uniform(-np.pi, np.pi, alice[0])
         a[-1] = a[0]
         angles = [a, 0.4, rng.uniform(-np.pi, np.pi, bob[0]), -1.3]
-        np.testing.assert_allclose(_bell_gradient(spec, angles, 4, 3, law=law),
+        np.testing.assert_allclose(bell_value(spec, angles, 4, 3, law=law, slopes=True)[1],
                                    central_differences(spec, angles, 4, 3, law),
                                    rtol=0, atol=1e-7)
 
@@ -414,9 +426,68 @@ class TestBellGradient:
         # one binned party of m - 1 results against one product result
         spec = BellFunctionalSpec.bchsh(m - 1, 1, PartyFunctional.binned_sign())
         angles = np.random.default_rng(101).uniform(-np.pi, np.pi, 4)
-        np.testing.assert_allclose(_bell_gradient(spec, angles, n, n, law=law),
+        np.testing.assert_allclose(bell_value(spec, angles, n, n, law=law, slopes=True)[1],
                                    central_differences(spec, angles, n, n, law),
                                    rtol=0, atol=1e-7)
+
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("spec, law", SLOPE_CASES)
+    def test_value_is_the_same_float_with_slopes(self, spec, law, vector):
+        rng = np.random.default_rng(107)
+        counts = [c for c, _ in spec.party_layout for _ in range(2)]
+        n = (spec.m + 1) // 2
+        for _ in range(3):
+            angles = [rng.uniform(-np.pi, np.pi, c) if vector else rng.uniform(-np.pi, np.pi)
+                      for c in counts]
+            value, slopes = bell_value(spec, angles, n, spec.m - n, law=law, slopes=True)
+            assert value == bell_value(spec, angles, n, spec.m - n, law=law)
+            assert slopes.shape == ((spec.m * 2,) if vector else (len(angles),))
+
+    @pytest.mark.parametrize("spec, law", SLOPE_CASES)
+    def test_scalar_slope_sums_vector_slopes(self, spec, law):
+        # a slot of one angle is one cosine power; the same angle per measurement is a
+        # product of single cosines, whose slopes add up to the power's
+        counts = [c for c, _ in spec.party_layout for _ in range(2)]
+        cuts = np.cumsum(counts)[:-1]
+        n = (spec.m + 1) // 2
+        rng = np.random.default_rng(109)
+        for _ in range(3):
+            angles = rng.uniform(-np.pi, np.pi, len(counts))
+            vectors = [np.full(c, a) for a, c in zip(angles, counts)]
+            _, scalar = bell_value(spec, angles, n, spec.m - n, law=law, slopes=True)
+            _, per_measurement = bell_value(spec, vectors, n, spec.m - n, law=law, slopes=True)
+            summed = [part.sum() for part in np.split(per_measurement, cuts)]
+            np.testing.assert_allclose(scalar, summed, rtol=0, atol=1e-13)
+
+    def test_slope_memory_does_not_grow_with_m_squared(self):
+        # one cosine power per setting: per-measurement slopes would take 4 x 1000 x 2001
+        # floats in each of several arrays, 384 MB at the peak
+        spec = BellFunctionalSpec.bchsh(1000, 1000)
+        angles = np.random.default_rng(113).uniform(-np.pi, np.pi, 4)
+        tracemalloc.start()
+        try:
+            value, slopes = bell_value(spec, angles, 1000, 1000, slopes=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * exact._TREE_BUDGET
+        assert np.isfinite(slopes).all() and abs(value) <= 2.0
+
+    def test_vector_slopes_past_the_budget_raise_before_allocating(self):
+        # 4 rows x 1000 angles x 2001 nodes, over a quarter of the table budget
+        spec = BellFunctionalSpec.bchsh(1000, 1000)
+        angles = [np.zeros(1000)] + [0.1, 0.2, 0.3]
+        exact._Law.for_law("exact", 1000, 1000, 2000)  # the law itself is cached
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                bell_value(spec, angles, 1000, 1000, slopes=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 4 * 1000 * 8
+        assert abs(bell_value(spec, angles, 1000, 1000)) <= 2.0  # the value takes slices
 
 
 class TestSemiMesoscopic:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fockbell import optimizer
 from fockbell.exact import correlation_closed_form
 from fockbell.functional import bell_value
 from fockbell.model import BellFunctionalSpec, PartyFunctional
@@ -147,9 +148,27 @@ class TestMaximizeFree:
         assert len(res.restarts) == res.restarts_used == 6
         assert res.q_max == winner.value
         assert res.converged == winner.converged
-        assert all(r.nfev >= r.njev >= 1 for r in res.restarts)
+        assert all(r.nfev == r.njev >= 1 for r in res.restarts)
         assert all(r.converged == (r.gradient_norm <= 1e-6) for r in res.restarts)
         assert res.converged
+
+    @pytest.mark.parametrize("spec, n, law", [
+        (BellFunctionalSpec.double_bchsh((1, 2, 1, 2)), 3, "exact"),
+        (BellFunctionalSpec.bchsh(2, 2, PartyFunctional.binned_sign()), 2, "classical"),
+        (BellFunctionalSpec.double_bchsh((2, 2, 2, 2)), 4, "gaussian"),
+    ], ids=["double", "plus-count", "gaussian"])
+    def test_one_bell_value_call_per_point(self, spec, n, law, monkeypatch):
+        # the value and the gradient of a BFGS point come from one pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["slopes"])
+            return bell_value(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "bell_value", counted)
+        res = maximize_free(spec, n, n, restarts=3, seed=6, law=law)
+        assert len(calls) == sum(r.nfev for r in res.restarts) == sum(r.njev for r in res.restarts)
+        assert all(calls)
 
     def test_iteration_cap_leaves_restart_unconverged(self):
         spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
