@@ -10,13 +10,10 @@ from .exact import (
     all_sequence_probabilities,
     classical_all_probabilities,
     classical_product_correlation,
-    classical_sequence_probability,
     correction_factor_g,
     correlation_closed_form,
     correlation_e,
-    correlation_gaussian,
     gaussian_product_correlation,
-    normalization_cn,
     sequence_probability,
 )
 from .functional import bell_value, expectation, semi_mesoscopic_value
@@ -41,16 +38,13 @@ from .optimizer import (
 from .oracle import (
     SpinStateVector,
     oracle_all_probabilities,
-    oracle_sequence_probability,
     w_state,
 )
 from .phase import (
     ConditioningError,
     PeakStats,
-    next_outcome_probability,
     peak_statistics,
     phase_posterior,
-    sample_sequence,
     sample_sequences,
 )
 
@@ -72,27 +66,22 @@ __all__ = [
     "bell_value",
     "classical_all_probabilities",
     "classical_product_correlation",
-    "classical_sequence_probability",
     "correction_factor_g",
     "correlation_closed_form",
     "correlation_e",
-    "correlation_gaussian",
     "double_letter_counts",
     "expectation",
     "gaussian_product_correlation",
     "maximize_fan",
     "maximize_free",
-    "next_outcome_probability",
-    "normalization_cn",
     "normalize_angle",
     "oracle_all_probabilities",
-    "oracle_sequence_probability",
     "peak_statistics",
     "phase_posterior",
-    "sample_sequence",
     "sample_sequences",
     "scan_qmax_vs_n",
     "semi_mesoscopic_value",
+    "sequence_probability",
     "triple_letter_counts",
     "w_state",
 ]

@@ -8,9 +8,9 @@ history is a weighted sum over the M + 1 coefficients of one polynomial.  A
 product average separates into the law's zeroth moment times a lambda mean of
 a trigonometric polynomial of degree M, which M + 1 equispaced nodes integrate
 exactly.  Plus-count parties in ``functional`` take the Dicke weights
-themselves.  The closed-form combinatoric routes (factorial sum, correction
-factor, Gaussian approximation) are kept alongside; the test suite holds the
-routes against each other.
+themselves.  The closed forms (the two-angle factorial sum, the correction
+factor) and the Gaussian approximation of a product correlation sit beside
+them; the test suite holds the routes against each other.
 """
 from __future__ import annotations
 
@@ -19,22 +19,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lgamma
 
 import numpy as np
 
 from .model import ExperimentConfig, OutcomeSequence
 
 __all__ = [
-    "normalization_cn",
     "sequence_probability",
     "all_sequence_probabilities",
     "correlation_e",
     "correlation_closed_form",
-    "correlation_gaussian",
     "gaussian_product_correlation",
     "correction_factor_g",
-    "classical_sequence_probability",
     "classical_all_probabilities",
     "classical_product_correlation",
 ]
@@ -42,21 +38,6 @@ __all__ = [
 # Memory ceiling for the vectorized outcome trees, in float64 elements.
 _TREE_BUDGET = 2 * 10**7
 _MAX_TREE_M = 20
-
-
-def normalization_cn(n_plus: int, n_minus: int) -> float:
-    """Normalization coefficient of the outcome distribution.
-
-    Equals the integral of cos((n_plus - n_minus)*L) * cos(L)**n over
-    dL/2pi, which reduces to binom(n, n_plus) / 2**n; evaluated through
-    log-gamma so that very large particle numbers stay finite.
-    """
-    if n_plus < 0 or n_minus < 0:
-        raise ValueError("particle numbers must be non-negative")
-    n = n_plus + n_minus
-    if n == 0:
-        return 1.0
-    return math.exp(lgamma(n + 1) - lgamma(n_plus + 1) - lgamma(n_minus + 1) - n * math.log(2.0))
 
 
 def _population_logs(n_plus: int, n_minus: int, m: int):
@@ -355,20 +336,13 @@ def correlation_closed_form(n: int, p: int, chi: float) -> float:
     return float(_closed_form_sum(n, p, chi)[0])
 
 
-def correlation_gaussian(n: int, p: int, chi: float) -> float:
-    """Gaussian approximation exp(-p(n-p)chi^2 / 2n) to the two-angle correlation."""
-    if p < 1 or n - p < 1:
-        raise ValueError("both parties need at least one measurement")
-    return math.exp(-p * (n - p) * chi * chi / (2.0 * n))
-
-
 def gaussian_product_correlation(pairs) -> float:
     """Gaussian-approximation product correlation for any angle multiset.
 
     ``pairs`` is an iterable of (angle, multiplicity); the result is
     exp(-(n/2) * weighted variance of the angles), which reduces to
-    :func:`correlation_gaussian` for two angles and is invariant under a
-    common rotation.
+    exp(-p(n-p)chi^2 / 2n) for p angles at chi and n - p at 0, and is invariant
+    under a common rotation.
     """
     pairs = [(float(a), int(mult)) for a, mult in pairs]
     n = sum(mult for _, mult in pairs)
@@ -401,23 +375,6 @@ def correction_factor_g(m: int, n_plus: int, n_minus: int) -> float:
 # genuine probabilities.  Useful both as an approximation and as the
 # local-realist reference model.
 # ---------------------------------------------------------------------------
-
-def classical_sequence_probability(angles, etas) -> float:
-    """Outcome probability under the classical-phase law.
-
-    A single uniform phase integral over independent per-spin probabilities
-    (1 + eta*cos(lambda - phi))/2, which is the sum of the squared moduli of
-    the history's coefficients; no particle-number dependence.
-    """
-    angles = [float(a) for a in angles]
-    etas = [int(e) for e in etas]
-    if len(angles) != len(etas):
-        raise ValueError("angles and outcomes must pair up")
-    if any(e not in (-1, 1) for e in etas):
-        raise ValueError("outcomes must be +-1")
-    law = _Law.for_law("classical", 0, 0, len(angles))
-    return float(law.probability(*law.follow(etas, angles), angles)[0])
-
 
 def classical_all_probabilities(angles) -> np.ndarray:
     """All 2**M outcome probabilities under the classical-phase law."""

@@ -6,7 +6,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +94,6 @@ class OutcomeSequence:
     def __len__(self) -> int:
         return len(self.etas)
 
-    def product(self) -> int:
-        return -1 if sum(1 for e in self.etas if e < 0) % 2 else 1
-
 
 @dataclass(frozen=True)
 class PartyFunctional:
@@ -110,8 +107,8 @@ class PartyFunctional:
         Sign of the summed outcomes (the binned macroscopic polarization).
         ``zero_policy`` resolves the tied case, which arises whenever the
         party makes an even number of measurements: ``plus_one`` maps it to
-        +1, ``zero`` to 0, ``random`` to a fair coin flip (whose expectation
-        is 0, so averaged quantities coincide with the ``zero`` policy).
+        +1, ``zero`` to 0, ``random`` to a fair coin flip, which enters every
+        average as its expectation 0, as the ``zero`` policy does.
     pair_average
         (eta1 + eta2)/2 for exactly two outcomes; takes values -1, 0, +1.
 
@@ -144,7 +141,7 @@ class PartyFunctional:
         """Expected functional value given ``k`` of ``count`` outcomes are +1.
 
         For the ``random`` zero policy this is the coin-flip expectation 0 at
-        a tie; sampled (per-realization) values come from :meth:`evaluate`.
+        a tie.
         """
         if not 0 <= k <= count:
             raise ValueError("plus count out of range")
@@ -164,22 +161,6 @@ class PartyFunctional:
         return np.array(
             [self.value_given_plus_count(k, count) for k in range(count + 1)]
         )
-
-    def evaluate(self, etas, rng: np.random.Generator | None = None) -> float:
-        """Realized value on a concrete outcome tuple.
-
-        A generator is required only for ``binned_sign`` with the ``random``
-        policy, and only when the tie actually occurs.
-        """
-        etas = tuple(int(e) for e in etas)
-        if any(e not in (-1, 1) for e in etas):
-            raise ValueError("outcomes must be +-1")
-        k = sum(1 for e in etas if e > 0)
-        if self.kind == "binned_sign" and 2 * k == len(etas) and self.zero_policy == "random":
-            if rng is None:
-                raise ValueError("random zero policy needs a generator to resolve a tie")
-            return 1.0 if rng.random() < 0.5 else -1.0
-        return self.value_given_plus_count(k, len(etas))
 
 
 @dataclass(frozen=True)
@@ -284,10 +265,6 @@ class PhaseDistribution:
         integral = self.integral()
         if not abs(integral - 1.0) <= 1e-12:
             raise ValueError(f"density integrates to {integral!r}, not 1")
-
-    @property
-    def resolution(self) -> int:
-        return self.grid.size
 
     def integral(self) -> float:
         return float(self.values.mean() * TWO_PI)

@@ -53,13 +53,12 @@ def _uniform_from_counter(seed: int, counter: int) -> float:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One restart of :func:`maximize_free`: the value it ended at, its value and
-    gradient evaluation counts, the largest final gradient component, and
-    whether that is at most 1e-6."""
+    """One restart of :func:`maximize_free`: the value it ended at, its count of
+    evaluations (each gives the value and the gradient), the largest final
+    gradient component, and whether that is at most 1e-6."""
 
     value: float
     nfev: int
-    njev: int
     gradient_norm: float
     converged: bool
 
@@ -180,8 +179,7 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
         # scipy's success flag reports that stall (precision loss) as a failure,
         # so convergence is read off the final gradient
         norm = float(np.max(np.abs(res.jac)))
-        # every pass computes a gradient, also where the line search reads the value alone
-        record = RestartRecord(value=-float(res.fun), nfev=int(res.nfev), njev=int(res.nfev),
+        record = RestartRecord(value=-float(res.fun), nfev=int(res.nfev),
                                gradient_norm=norm, converged=norm <= _CONVERGED_GRADIENT)
         return record, res.x
 
@@ -225,8 +223,11 @@ def scan_qmax_vs_n(spec_for_n, n_values, *, mode: str = "fan", restarts: int = 6
     """Maximize over angles for each n and tabulate (n, q_max, chi).
 
     ``spec_for_n`` maps a particle number to the BellFunctionalSpec to use
-    at that n.  ``chi`` is reported for fan mode and None otherwise.
+    at that n.  ``chi`` is reported for fan mode and None otherwise.  Fan mode
+    takes the exact closed form, so it accepts no ``law`` but ``"exact"``.
     """
+    if mode == "fan" and law != "exact":
+        raise ValueError(f"fan mode takes the exact law, got {law!r}")
     rows = []
     for n in n_values:
         n = int(n)

@@ -1,9 +1,9 @@
 """Independent brute-force verification on explicit spin state vectors.
 
-Builds the W state of N distinguishable spin-1/2 particles and evaluates
-measurement probabilities by applying transverse-spin projectors directly to
-the 2**N amplitude vector.  No integrals anywhere: this is the oracle the
-quadrature formulas are checked against.
+Builds the W state of N distinguishable spin-1/2 particles and evaluates every
+measurement probability by rotating each spin of the 2**N amplitude vector
+into its transverse measurement basis.  No integrals anywhere: this is the
+oracle the quadrature formulas are checked against.
 """
 from __future__ import annotations
 
@@ -16,12 +16,10 @@ import numpy as np
 __all__ = [
     "SpinStateVector",
     "w_state",
-    "oracle_sequence_probability",
     "oracle_all_probabilities",
 ]
 
 _MAX_SPINS = 14
-_IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,45 +60,6 @@ def w_state(n_plus: int, n_minus: int) -> SpinStateVector:
             mask |= 1 << b
         amps[mask] = amp
     return SpinStateVector(amps, n)
-
-
-def _apply_projector(amps: np.ndarray, n: int, spin: int, phi: float, eta: int) -> np.ndarray:
-    """Apply the transverse-spin projector (1 + eta*sigma_phi)/2 to one spin."""
-    # bit ``spin`` of the index is the middle axis: (higher bits, this spin, lower bits)
-    pairs = amps.reshape(2 ** (n - 1 - spin), 2, 2 ** spin)
-    down, up = pairs[:, 0], pairs[:, 1]
-    phase = np.exp(1j * phi)
-    out = np.empty_like(pairs)
-    out[:, 1] = 0.5 * (up + eta * np.conj(phase) * down)
-    out[:, 0] = 0.5 * (eta * phase * up + down)
-    return out.reshape(-1)
-
-
-def oracle_sequence_probability(state: SpinStateVector, angles, outcomes) -> float:
-    """Probability of the outcomes of the first m spins, 1 <= m <= n.
-
-    Applies the commuting single-spin projectors in turn and takes the
-    overlap with the original state; the imaginary part must vanish to
-    round-off and is asserted before being dropped.  For m < n this is the
-    marginal: summed over the results of an unmeasured spin its two
-    projectors add to the identity, so the completion sum collapses to the
-    m performed projectors (the tests check the explicit sum).
-    """
-    angles = [float(a) for a in angles]
-    etas = [int(e) for e in outcomes]
-    if len(angles) != len(etas):
-        raise ValueError("angles and outcomes must pair up")
-    if not 1 <= len(angles) <= state.n:
-        raise ValueError(f"need between 1 and {state.n} measurements, got {len(angles)}")
-    if any(e not in (-1, 1) for e in etas):
-        raise ValueError("outcomes must be +-1")
-    amps = state.amplitudes
-    for spin, (phi, eta) in enumerate(zip(angles, etas)):
-        amps = _apply_projector(amps, state.n, spin, phi, eta)
-    overlap = complex(np.vdot(state.amplitudes, amps))
-    if abs(overlap.imag) >= _IMAG_TOL:
-        raise FloatingPointError(f"probability acquired imaginary part {overlap.imag}")
-    return max(overlap.real, 0.0)
 
 
 def oracle_all_probabilities(state: SpinStateVector, angles) -> np.ndarray:

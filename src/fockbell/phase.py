@@ -13,13 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .model import ExperimentConfig, OutcomeSequence, PhaseDistribution
+from .model import ExperimentConfig, PhaseDistribution
 
 __all__ = [
     "ConditioningError",
     "phase_posterior",
-    "next_outcome_probability",
-    "sample_sequence",
     "sample_sequences",
     "peak_statistics",
     "PeakStats",
@@ -77,24 +75,6 @@ def phase_posterior(angles, outcomes, resolution: int = DEFAULT_RESOLUTION) -> P
     values = np.exp(logs - top)
     values /= values.mean() * TWO_PI
     return PhaseDistribution(grid=grid, values=values)
-
-
-def next_outcome_probability(config: ExperimentConfig, history, *,
-                             mode: str = "exact") -> float:
-    """Probability that the next measurement gives +1, given the history.
-
-    The next angle is ``config.angles[len(history)]``.  This is the chain-rule
-    conditional the samplers draw from, under the quantum (``"exact"``) or
-    the classical-phase law, taken from the same coefficient row of the history.
-    """
-    if not isinstance(history, OutcomeSequence):
-        history = OutcomeSequence(tuple(history))
-    m = len(history)
-    if m >= config.m:
-        raise ValueError("history already covers every configured measurement")
-    law = exact._Law.for_law(mode, config.n_plus, config.n_minus, config.m)
-    row, _ = law.follow(history.etas, config.angles)
-    return float(_branches(law, row, config.angles[m])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +223,6 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
         u = _philox_uniforms(seed, start, stop, m)
         out[start:stop] = _sample_batch(law, config.angles, u)
     return out
-
-
-def sample_sequence(config: ExperimentConfig, seed: int, *, mode: str = "exact") -> OutcomeSequence:
-    """Draw one outcome sequence (chain 0 of the given seed)."""
-    etas = sample_sequences(config, 1, seed, mode=mode)[0]
-    return OutcomeSequence(tuple(int(e) for e in etas))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""State-vector route to the block-product Bell forms, shared by the tests.
+"""State-vector routes shared by the tests.
+
+``oracle_sequence_probability`` applies one transverse-spin projector per
+measured spin to the amplitude vector, the projector chain that
+``oracle_all_probabilities``' butterflies are checked against.
 
 Every cross term of ``double_bchsh`` / ``triple_bchsh`` is evaluated from the
 explicit W-state outcome distribution (``oracle_all_probabilities``) weighted
@@ -10,7 +14,49 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from fockbell.oracle import oracle_all_probabilities, w_state
+from fockbell.oracle import SpinStateVector, oracle_all_probabilities, w_state
+
+_IMAG_TOL = 1e-12
+
+
+def _apply_projector(amps: np.ndarray, n: int, spin: int, phi: float, eta: int) -> np.ndarray:
+    """Apply the transverse-spin projector (1 + eta*sigma_phi)/2 to one spin."""
+    # bit ``spin`` of the index is the middle axis: (higher bits, this spin, lower bits)
+    pairs = amps.reshape(2 ** (n - 1 - spin), 2, 2 ** spin)
+    down, up = pairs[:, 0], pairs[:, 1]
+    phase = np.exp(1j * phi)
+    out = np.empty_like(pairs)
+    out[:, 1] = 0.5 * (up + eta * np.conj(phase) * down)
+    out[:, 0] = 0.5 * (eta * phase * up + down)
+    return out.reshape(-1)
+
+
+def oracle_sequence_probability(state: SpinStateVector, angles, outcomes) -> float:
+    """Probability of the outcomes of the first m spins, 1 <= m <= n.
+
+    Applies the commuting single-spin projectors in turn and takes the
+    overlap with the original state; the imaginary part must vanish to
+    round-off and is asserted before being dropped.  For m < n this is the
+    marginal: summed over the results of an unmeasured spin its two
+    projectors add to the identity, so the completion sum collapses to the
+    m performed projectors (the tests check the explicit sum).
+    """
+    angles = [float(a) for a in angles]
+    etas = [int(e) for e in outcomes]
+    if len(angles) != len(etas):
+        raise ValueError("angles and outcomes must pair up")
+    if not 1 <= len(angles) <= state.n:
+        raise ValueError(f"need between 1 and {state.n} measurements, got {len(angles)}")
+    if any(e not in (-1, 1) for e in etas):
+        raise ValueError("outcomes must be +-1")
+    amps = state.amplitudes
+    for spin, (phi, eta) in enumerate(zip(angles, etas)):
+        amps = _apply_projector(amps, state.n, spin, phi, eta)
+    overlap = complex(np.vdot(state.amplitudes, amps))
+    if abs(overlap.imag) >= _IMAG_TOL:
+        raise FloatingPointError(f"probability acquired imaginary part {overlap.imag}")
+    return max(overlap.real, 0.0)
+
 
 # One BCHSH block: (x, y) + (x', y) + (x, y') - (x', y'), slots (x, x', y, y').
 _VARIANTS = (((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), -1.0))

@@ -12,17 +12,16 @@ from fockbell.exact import (
     all_sequence_probabilities,
     classical_all_probabilities,
     classical_product_correlation,
-    classical_sequence_probability,
     correction_factor_g,
     correlation_closed_form,
     correlation_e,
-    correlation_gaussian,
     gaussian_product_correlation,
-    normalization_cn,
     sequence_probability,
 )
 from fockbell.model import ExperimentConfig, OutcomeSequence
 from fockbell.oracle import oracle_all_probabilities, w_state
+
+from crosscheck import classical_sequence_probability, normalization_cn
 
 
 def correlation_e_outcome_sum(config):
@@ -330,28 +329,29 @@ class TestClosedForm:
 
 class TestGaussian:
     def test_zero_angle(self):
-        assert correlation_gaussian(10, 3, 0.0) == 1.0
+        assert gaussian_product_correlation([(0.0, 3), (0.0, 7)]) == 1.0
 
     def test_reference_values(self):
-        assert correlation_gaussian(12, 6, math.sqrt(math.log(3) / 12)) == pytest.approx(
+        chi = math.sqrt(math.log(3) / 12)
+        assert gaussian_product_correlation([(chi, 6), (0.0, 6)]) == pytest.approx(
             3 ** (-1 / 8), rel=1e-14)
-        assert correlation_gaussian(100, 50, 0.5) == pytest.approx(
+        assert gaussian_product_correlation([(0.5, 50), (0.0, 50)]) == pytest.approx(
             math.exp(-25 / 8), rel=1e-14)
 
     def test_close_to_closed_form_at_n12(self):
         # the approximation is quoted as usable from n = 12 up; hold it to 2%
         # through the fan-optimum region chi ~ sqrt(ln3/12)
         chi = math.sqrt(math.log(3) / 12)
-        assert abs(correlation_gaussian(12, 6, chi)
+        assert abs(gaussian_product_correlation([(chi, 6), (0.0, 6)])
                    - correlation_closed_form(12, 6, chi)) < 0.02
         for x in np.linspace(0.0, 0.4, 5):
-            assert abs(correlation_gaussian(12, 6, x)
+            assert abs(gaussian_product_correlation([(x, 6), (0.0, 6)])
                        - correlation_closed_form(12, 6, x)) < 0.02
 
     def test_multiset_reduces_to_two_angle_form(self):
         for n, p, chi in [(10, 4, 0.3), (40, 20, 0.1)]:
             assert gaussian_product_correlation([(chi, p), (0.0, n - p)]) == pytest.approx(
-                correlation_gaussian(n, p, chi), rel=1e-14)
+                math.exp(-p * (n - p) * chi * chi / (2.0 * n)), rel=1e-14)
 
     def test_multiset_rotation_invariance(self):
         pairs = [(0.1, 3), (0.5, 2), (-0.2, 5)]

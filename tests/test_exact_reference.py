@@ -23,7 +23,6 @@ from fockbell.exact import (
     all_sequence_probabilities,
     classical_all_probabilities,
     classical_product_correlation,
-    classical_sequence_probability,
     correction_factor_g,
     correlation_e,
     sequence_probability,
@@ -31,6 +30,8 @@ from fockbell.exact import (
 from fockbell.functional import bell_value, expectation
 from fockbell.model import BellFunctionalSpec, ExperimentConfig, OutcomeSequence, PartyFunctional
 from fockbell.oracle import oracle_all_probabilities, w_state
+
+from crosscheck import classical_sequence_probability
 
 # exp(-2 pi i q / unit) as (a, b) = a + b u for q = 0..unit - 1: u = i for quarter
 # turns (unit 4) and u = omega for sixth turns (unit 6), u**2 = -1 - (unit == 6) u

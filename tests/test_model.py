@@ -64,7 +64,6 @@ class TestOutcomeSequence:
     def test_accepts_pm_one(self):
         seq = OutcomeSequence((1, -1, 1))
         assert len(seq) == 3
-        assert seq.product() == -1
 
     @pytest.mark.parametrize("bad", [(0,), (2,), (1, -2)])
     def test_rejects_other_values(self, bad):
@@ -75,33 +74,24 @@ class TestOutcomeSequence:
 class TestPartyFunctional:
     def test_product_values(self):
         f = PartyFunctional.product()
-        assert f.evaluate((1, 1, -1)) == -1.0
-        assert f.evaluate((-1, -1)) == 1.0
+        assert f.value_given_plus_count(2, 3) == -1.0
+        assert f.value_given_plus_count(0, 2) == 1.0
 
+    # a random tie enters expectations as the coin mean, 0
     @pytest.mark.parametrize("policy,expected", [
-        ("plus_one", 1.0), ("zero", 0.0),
+        ("plus_one", 1.0), ("zero", 0.0), ("random", 0.0),
     ])
     def test_binned_tie(self, policy, expected):
         f = PartyFunctional.binned_sign(policy)
-        assert f.evaluate((1, -1)) == expected
-
-    def test_binned_random_tie_needs_rng(self):
-        f = PartyFunctional.binned_sign("random")
-        with pytest.raises(ValueError):
-            f.evaluate((1, -1))
-        rng = np.random.default_rng(0)
-        draws = {f.evaluate((1, -1), rng) for _ in range(64)}
-        assert draws == {-1.0, 1.0}
-        # the marginalized value used in expectations is the coin mean
-        assert f.value_given_plus_count(1, 2) == 0.0
+        assert f.value_given_plus_count(1, 2) == expected
 
     def test_pair_average(self):
         f = PartyFunctional.pair_average()
-        assert f.evaluate((1, 1)) == 1.0
-        assert f.evaluate((1, -1)) == 0.0
-        assert f.evaluate((-1, -1)) == -1.0
+        assert f.value_given_plus_count(2, 2) == 1.0
+        assert f.value_given_plus_count(1, 2) == 0.0
+        assert f.value_given_plus_count(0, 2) == -1.0
         with pytest.raises(ValueError):
-            f.evaluate((1, 1, 1))
+            f.value_given_plus_count(3, 3)
 
     @pytest.mark.parametrize("func", [
         PartyFunctional.product(),

@@ -148,7 +148,7 @@ class TestMaximizeFree:
         assert len(res.restarts) == res.restarts_used == 6
         assert res.q_max == winner.value
         assert res.converged == winner.converged
-        assert all(r.nfev == r.njev >= 1 for r in res.restarts)
+        assert all(r.nfev >= 1 for r in res.restarts)
         assert all(r.converged == (r.gradient_norm <= 1e-6) for r in res.restarts)
         assert res.converged
 
@@ -167,7 +167,7 @@ class TestMaximizeFree:
 
         monkeypatch.setattr(optimizer, "bell_value", counted)
         res = maximize_free(spec, n, n, restarts=3, seed=6, law=law)
-        assert len(calls) == sum(r.nfev for r in res.restarts) == sum(r.njev for r in res.restarts)
+        assert len(calls) == sum(r.nfev for r in res.restarts)
         assert all(calls)
 
     def test_iteration_cap_leaves_restart_unconverged(self):
@@ -211,3 +211,11 @@ class TestScan:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             scan_qmax_vs_n(lambda n: BellFunctionalSpec.bchsh(1, n - 1), [3], mode="fan")
+
+    @pytest.mark.parametrize("law", ["gaussian", "bogus"])
+    def test_fan_mode_takes_only_the_exact_law(self, law):
+        # the fan search reads the exact closed form, so another law must raise
+        # rather than return the exact fan maximum (2.336904781910359 here)
+        with pytest.raises(ValueError, match="fan mode"):
+            scan_qmax_vs_n(lambda n: BellFunctionalSpec.bchsh(n // 2, n // 2), [8],
+                           mode="fan", law=law)

@@ -6,12 +6,9 @@ import pytest
 
 from fockbell.exact import all_sequence_probabilities, sequence_probability
 from fockbell.model import ExperimentConfig, OutcomeSequence
-from fockbell.oracle import (
-    SpinStateVector,
-    oracle_all_probabilities,
-    oracle_sequence_probability,
-    w_state,
-)
+from fockbell.oracle import SpinStateVector, oracle_all_probabilities, w_state
+
+from statevector import oracle_sequence_probability
 
 
 def moveaxis_projector(amps, n, spin, phi, eta):
