@@ -1,6 +1,9 @@
 """Command-line front end: JSON experiment configs in, CSV/JSON results out.
 
-Exit codes: 0 success, 2 usage or malformed config, 3 numeric infeasibility.
+Exit codes: 0 success; 2 for an input error, which is any ``ValueError`` that
+the library or the CLI's own checks raise (usage, malformed config, inconsistent
+parameters); 3 for numeric infeasibility, :class:`phase.ConditioningError` (a
+history of zero probability) and ``MemoryError``.
 All output is locale-independent ('.' decimal point, 15 significant digits)
 and deterministic given config plus seed.
 Only ``qmax`` and ``scan`` load SciPy, at their first search; ``correlate``,
@@ -16,16 +19,11 @@ import sys
 import numpy as np
 
 from . import exact, optimizer, oracle, phase
-from .model import (MIN_RESOLUTION, BellFunctionalSpec, ExperimentConfig, OutcomeSequence,
-                    PartyFunctional)
+from .model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(ValueError):
-    """Malformed input file or inconsistent parameters."""
 
 
 def _fmt(x: float) -> str:
@@ -36,18 +34,18 @@ def _load_json(path: str, allowed: set[str], required: set[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(f"{path} is not valid JSON: {err}") from err
+        raise ValueError(f"{path} is not valid JSON: {err}") from err
+    except (OSError, UnicodeDecodeError, RecursionError) as err:
+        raise ValueError(f"cannot read {path}: {err}") from err
     if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+        raise ValueError(f"{path} must hold a JSON object")
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
     missing = required - set(data)
     if missing:
-        raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
+        raise ValueError(f"{path}: missing required keys {sorted(missing)}")
     return data
 
 
@@ -60,27 +58,24 @@ def _int(value, name: str) -> int:
         whole = None
     truncated = isinstance(value, bool) or isinstance(value, float) and whole != value
     if whole is None or truncated or not -2**63 <= whole < 2**63:
-        raise ConfigError(f"{name} must be a whole number in [-2**63, 2**63), got {value!r}")
+        raise ValueError(f"{name} must be a whole number in [-2**63, 2**63), got {value!r}")
     return whole
 
 
 def _experiment_config(data: dict, angles) -> ExperimentConfig:
     n_plus, n_minus = (_int(data[key], key) for key in ("n_plus", "n_minus"))
-    try:
-        return ExperimentConfig(n_plus, n_minus, tuple(angles))
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(str(err)) from err
+    return ExperimentConfig(n_plus, n_minus, tuple(angles))
 
 
 def _angle_list(raw, name: str) -> list[float]:
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{name} must be a non-empty list of angles")
+        raise ValueError(f"{name} must be a non-empty list of angles")
     try:
         angles = [float(a) for a in raw]
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name} holds a non-numeric entry") from err
+        raise ValueError(f"{name} holds a non-numeric entry") from err
     if not all(map(math.isfinite, angles)):
-        raise ConfigError(f"{name} holds a non-finite entry")
+        raise ValueError(f"{name} holds a non-finite entry")
     return angles
 
 
@@ -96,57 +91,48 @@ def _functional_from_name(name: str, zero_policy: str) -> PartyFunctional:
     if name == "product":
         return PartyFunctional.product()
     if name == "binned_sign":
-        try:
-            return PartyFunctional.binned_sign(zero_policy)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return PartyFunctional.binned_sign(zero_policy)
     if name == "pair_average":
         return PartyFunctional.pair_average()
-    raise ConfigError(f"unknown functional {name!r}")
+    raise ValueError(f"unknown functional {name!r}")
 
 
 _SPEC_KEYS = {"form", "n", "p", "counts", "alice_functional", "bob_functional",
               "zero_policy", "law"}
 
 
-def _bell_spec(data: dict, n: int) -> tuple[BellFunctionalSpec, str]:
-    form = data.get("form")
+def _law(data: dict) -> str:
     law = data.get("law", "exact")
     if law not in ("exact", "gaussian"):
-        raise ConfigError("law must be 'exact' or 'gaussian'")
+        raise ValueError("law must be 'exact' or 'gaussian'")
+    return law
+
+
+def _bell_spec(data: dict, n: int) -> BellFunctionalSpec:
+    form = data.get("form")
     zero_policy = data.get("zero_policy", "plus_one")
     if form == "bchsh":
         p = data.get("p")
         if p is None:
-            raise ConfigError("bchsh spec needs p (Alice's measurement count)")
+            raise ValueError("bchsh spec needs p (Alice's measurement count)")
         p = _int(p, "p")
-        if not 1 <= p <= n - 1:
-            raise ConfigError(f"p={p} must satisfy 1 <= p <= n-1")
         fa = _functional_from_name(data.get("alice_functional", "product"), zero_policy)
         fb = _functional_from_name(data.get("bob_functional", "product"), zero_policy)
-        if law == "gaussian" and (fa.kind != "product" or fb.kind != "product"):
-            raise ConfigError("the gaussian law needs product functionals")
-        for party, count, f in (("alice", p, fa), ("bob", n - p, fb)):
-            if f.kind == "pair_average" and count != 2:
-                raise ConfigError(f"{party}_functional pair_average needs exactly 2 "
-                                  f"measurements, got {count}")
-        return BellFunctionalSpec.bchsh(p, n - p, fa, fb), law
+        return BellFunctionalSpec.bchsh(p, n - p, fa, fb)
     if form in ("double_bchsh", "triple_bchsh"):
         double = form == "double_bchsh"
         counts = data.get("counts")
-        try:
-            if counts is None:
-                counts = (optimizer.double_letter_counts(n) if double
-                          else optimizer.triple_letter_counts(n))
-            counts = tuple(_int(c, "letter count") for c in counts)
-            maker = BellFunctionalSpec.double_bchsh if double else BellFunctionalSpec.triple_bchsh
-            spec = maker(counts)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"{form} letter counts: {err}") from err
+        if counts is None:
+            counts = (optimizer.double_letter_counts(n) if double
+                      else optimizer.triple_letter_counts(n))
+        elif not isinstance(counts, list):
+            raise ValueError(f"{form} letter counts must be a list")
+        counts = tuple(_int(c, "letter count") for c in counts)
         if sum(counts) != n:
-            raise ConfigError("letter counts must add up to n")
-        return spec, law
-    raise ConfigError("form must be bchsh, double_bchsh or triple_bchsh")
+            raise ValueError("letter counts must add up to n")
+        maker = BellFunctionalSpec.double_bchsh if double else BellFunctionalSpec.triple_bchsh
+        return maker(counts)
+    raise ValueError("form must be bchsh, double_bchsh or triple_bchsh")
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +143,10 @@ def cmd_correlate(args) -> int:
     data = _load_json(args.config, {"n_plus", "n_minus", "angles", "angle_sets"},
                       {"n_plus", "n_minus"})
     if ("angles" in data) == ("angle_sets" in data):
-        raise ConfigError("provide exactly one of 'angles' or 'angle_sets'")
+        raise ValueError("provide exactly one of 'angles' or 'angle_sets'")
     sets = [data["angles"]] if "angles" in data else data["angle_sets"]
     if not isinstance(sets, list):
-        raise ConfigError("angle_sets must be a list of angle lists")
+        raise ValueError("angle_sets must be a list of angle lists")
     lines = []
     for i, raw in enumerate(sets):
         angles = _angle_list(raw, f"angle set {i}")
@@ -171,27 +157,11 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def _maximize(args, data: dict, n: int) -> optimizer.OptimizationResult:
-    """The fan or free maximum at particle number ``n``, as ``args.mode`` asks."""
-    spec, law = _bell_spec(data, n)
-    if args.mode == "fan":
-        if law != "exact":
-            raise ConfigError("fan mode takes the exact closed form, so law must be 'exact'")
-        if spec.form != "bchsh" or any(f.kind != "product" for _, f in spec.party_layout):
-            raise ConfigError("fan mode applies to the bchsh form with product functionals")
-        return optimizer.maximize_fan(spec, n)
-    if args.restarts < 1:
-        raise ConfigError("restarts must be positive")
-    return optimizer.maximize_free(spec, n // 2, n // 2, restarts=args.restarts,
-                                   seed=args.seed, law=law)
-
-
 def cmd_qmax(args) -> int:
     data = _load_json(args.spec, _SPEC_KEYS, {"form", "n"})
     n = _int(data["n"], "n")
-    if n < 2 or n % 2:
-        raise ConfigError("n must be even and at least 2")
-    result = _maximize(args, data, n)
+    result = optimizer._maximize(_bell_spec(data, n), n, mode=args.mode,
+                                 restarts=args.restarts, seed=args.seed, law=_law(data))
     payload = {
         "q_max": result.q_max,
         "angles": [float(a) for a in result.angles],
@@ -207,13 +177,13 @@ def cmd_scan(args) -> int:
     data = _load_json(args.spec, _SPEC_KEYS - {"n"}, {"form"})
     if (args.n_min < 2 or args.n_min % 2 or args.n_max < args.n_min
             or args.n_step < 2 or args.n_step % 2):
-        raise ConfigError("scan needs even n_min <= n_max and an even step of at least 2")
-    n_values = range(args.n_min, args.n_max + 1, args.n_step)
-    lines = ["n,q_max,chi"]
-    for n in n_values:
-        res = _maximize(args, data, n)
-        chi = "" if res.chi is None else _fmt(res.chi)
-        lines.append(f"{n},{_fmt(res.q_max)},{chi}")
+        raise ValueError("scan needs even n_min <= n_max and an even step of at least 2")
+    rows = optimizer.scan_qmax_vs_n(lambda n: _bell_spec(data, n),
+                                    range(args.n_min, args.n_max + 1, args.n_step),
+                                    mode=args.mode, restarts=args.restarts, seed=args.seed,
+                                    law=_law(data))
+    lines = ["n,q_max,chi"] + [f"{n},{_fmt(q_max)},{'' if chi is None else _fmt(chi)}"
+                               for n, q_max, chi in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -222,10 +192,6 @@ def cmd_sample(args) -> int:
     data = _load_json(args.config, {"n_plus", "n_minus", "angles"},
                       {"n_plus", "n_minus", "angles"})
     config = _experiment_config(data, _angle_list(data["angles"], "angles"))
-    if config.m == 0:
-        raise ConfigError("sampling needs at least one measurement angle")
-    if args.count < 1:
-        raise ConfigError("count must be positive")
     etas = phase.sample_sequences(config, args.count, args.seed, mode=args.mode)
     _emit(_outcome_rows(etas), args.out)
     return EXIT_OK
@@ -249,20 +215,13 @@ def cmd_phase(args) -> int:
     data = _load_json(args.history, {"angles", "outcomes", "resolution"}, set())
     raw_angles = data.get("angles", [])
     if not isinstance(raw_angles, list):
-        raise ConfigError("angles must be a list")
+        raise ValueError("angles must be a list")
     angles = _angle_list(raw_angles, "angles") if raw_angles else []
     outcomes = data.get("outcomes", [])
     if not isinstance(outcomes, list):
-        raise ConfigError("outcomes must be a list of +-1")
-    if len(angles) != len(outcomes):
-        raise ConfigError("angles and outcomes must have equal length")
-    try:
-        etas = OutcomeSequence(tuple(_int(e, "outcome") for e in outcomes)).etas if outcomes else ()
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(str(err)) from err
+        raise ValueError("outcomes must be a list of +-1")
+    etas = [_int(e, "outcome") for e in outcomes]
     resolution = _int(data.get("resolution", args.resolution), "resolution")
-    if resolution < MIN_RESOLUTION:
-        raise ConfigError(f"resolution must be at least {MIN_RESOLUTION}")
     dist = phase.phase_posterior(angles, etas, resolution=resolution)
     lines = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(dist.grid, dist.values)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -271,9 +230,9 @@ def cmd_phase(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     if args.n_max < 2 or args.n_max > 10:
-        raise ConfigError("n-max must lie between 2 and 10")
+        raise ValueError("n-max must lie between 2 and 10")
     if args.angle_sets < 1:
-        raise ConfigError("angle-sets must be positive")
+        raise ValueError("angle-sets must be positive")
     rng = np.random.default_rng(args.seed % 2**64)
     worst = 0.0
     worst_case = None
@@ -366,12 +325,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except phase.ConditioningError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(err, phase.ConditioningError) else EXIT_CONFIG
     except MemoryError as err:
         print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_NUMERIC

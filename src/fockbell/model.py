@@ -111,6 +111,8 @@ class PartyFunctional:
         average as its expectation 0, as the ``zero`` policy does.
     pair_average
         (eta1 + eta2)/2 for exactly two outcomes; takes values -1, 0, +1.
+        A :class:`BellFunctionalSpec` rejects a party that carries it on any
+        other number of measurements.
 
     All kinds are symmetric under permutation of the party's outcomes, so the
     value only depends on the number of +1 results.
@@ -149,7 +151,7 @@ class PartyFunctional:
             return -1.0 if (count - k) % 2 else 1.0
         if self.kind == "pair_average":
             if count != 2:
-                raise ValueError("pair_average requires exactly 2 outcomes")
+                raise ValueError(f"pair_average requires exactly 2 outcomes, got {count}")
             return float(k - 1)
         s = 2 * k - count
         if s != 0:
@@ -186,6 +188,8 @@ class BellFunctionalSpec:
             raise ValueError(f"{self.form} takes {expected} parties, got {len(layout)}")
         if any(c < 1 for c, _ in layout):
             raise ValueError("every party must make at least one measurement")
+        for c, f in layout:
+            f.value_given_plus_count(0, c)  # raises where f is undefined on c results
         if self.form != "bchsh" and any(f.kind != "product" for _, f in layout):
             raise ValueError(f"{self.form} letters must carry product functionals")
         object.__setattr__(self, "party_layout", layout)
@@ -241,21 +245,23 @@ class FanAngles:
         return (0.0, -2.0 * chi, -chi, chi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseDistribution:
     """Discretized phase density on a uniform angular grid over [-pi, pi).
 
     The grid is periodic and equispaced, so the trapezoid rule coincides with
     the mean value times 2*pi; the values must be finite, non-negative and
-    integrate to 1 within 1e-12.
+    integrate to 1 within 1e-12.  ``grid`` and ``values`` are read-only copies.
     """
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        for name in ("grid", "values"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise ValueError("grid and values must be matching 1-d arrays")
         if not np.isfinite(self.values).all():
@@ -272,5 +278,6 @@ class PhaseDistribution:
     @staticmethod
     def uniform_grid(resolution: int) -> np.ndarray:
         if resolution < MIN_RESOLUTION:
-            raise ValueError("grid too coarse")
+            raise ValueError(f"a phase grid needs at least {MIN_RESOLUTION} nodes, "
+                             f"got {resolution}")
         return -math.pi + TWO_PI * np.arange(resolution) / resolution

@@ -99,14 +99,13 @@ def maximize_fan(spec: BellFunctionalSpec, n: int) -> OptimizationResult:
     the refinement stops at a chi tolerance of 1e-10, but Q is flat to round-off
     over a few times 1e-8 of chi, so chi is fixed only that well.
     """
-    # imported here, not at module level: SciPy takes most of a cold start
-    from scipy.optimize import minimize_scalar
-
     p, cb = _require_product_bchsh(spec)
     if p + cb != n:
         raise ValueError("spec layout must assign p measurements to Alice and n-p to Bob")
     if n % 2:
         raise ValueError("closed form requires equal populations, so n must be even")
+    # imported here, not at module level: SciPy takes most of a cold start
+    from scipy.optimize import minimize_scalar
 
     def q(chi: float) -> float:
         return 3.0 * correlation_closed_form(n, p, chi) - correlation_closed_form(n, p, 3.0 * chi)
@@ -218,27 +217,35 @@ def triple_letter_counts(n: int) -> tuple[int, ...]:
     return (k,) * 6
 
 
+def _maximize(spec: BellFunctionalSpec, n: int, *, mode: str, restarts: int, seed: int,
+              law: str) -> OptimizationResult:
+    """The fan or free maximum of ``spec`` with n/2 particles in each population.
+    Fan mode takes the exact closed form, so it accepts no ``law`` but ``"exact"``."""
+    if mode == "fan":
+        if law != "exact":
+            raise ValueError(f"fan mode takes the exact law, got {law!r}")
+        return maximize_fan(spec, n)
+    if mode == "free":
+        return maximize_free(spec, n // 2, n // 2, restarts=restarts, seed=seed, law=law)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def scan_qmax_vs_n(spec_for_n, n_values, *, mode: str = "fan", restarts: int = 64,
                    seed: int = 0, law: str = "exact"):
     """Maximize over angles for each n and tabulate (n, q_max, chi).
 
     ``spec_for_n`` maps a particle number to the BellFunctionalSpec to use
-    at that n.  ``chi`` is reported for fan mode and None otherwise.  Fan mode
-    takes the exact closed form, so it accepts no ``law`` but ``"exact"``.
+    at that n.  ``chi`` is reported for fan mode and None otherwise.  Every n
+    is checked for parity and has its spec built before the first search, and
+    that search checks mode and law before it starts, so a bad input raises
+    before any search runs.
     """
-    if mode == "fan" and law != "exact":
-        raise ValueError(f"fan mode takes the exact law, got {law!r}")
+    n_values = [int(n) for n in n_values]
+    if any(n % 2 for n in n_values):
+        raise ValueError("scan runs over even particle numbers")
+    specs = [spec_for_n(n) for n in n_values]
     rows = []
-    for n in n_values:
-        n = int(n)
-        if n % 2:
-            raise ValueError("scan runs over even particle numbers")
-        spec = spec_for_n(n)
-        if mode == "fan":
-            res = maximize_fan(spec, n)
-        elif mode == "free":
-            res = maximize_free(spec, n // 2, n // 2, restarts=restarts, seed=seed, law=law)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    for n, spec in zip(n_values, specs):
+        res = _maximize(spec, n, mode=mode, restarts=restarts, seed=seed, law=law)
         rows.append((n, res.q_max, res.chi))
     return rows

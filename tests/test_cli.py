@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fockbell import optimizer
 from fockbell.cli import main
 from fockbell.exact import all_sequence_probabilities
 from fockbell.model import ExperimentConfig
@@ -138,6 +139,21 @@ class TestScan:
         spec = write(tmp_path, "s.json", {"form": "bchsh", "p": 1})
         code, _, _ = run(capsys, ["scan", spec, "--n-min", "3", "--n-max", "8"])
         assert code == 2
+
+    def test_every_n_checked_before_the_first_search(self, tmp_path, capsys, monkeypatch):
+        # the three-block form needs n divisible by 6: n = 8 fails, so n = 6 is not searched
+        calls = []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec)
+            return optimizer.OptimizationResult(0.0, np.zeros(12), None, 1, True)
+
+        monkeypatch.setattr(optimizer, "maximize_free", counted)
+        spec = write(tmp_path, "s.json", {"form": "triple_bchsh"})
+        code, out, err = run(capsys, ["scan", spec, "--n-min", "6", "--n-max", "8",
+                                      "--mode", "free"])
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error:")
 
 
 class TestSample:
@@ -310,6 +326,19 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{\x00}\x00", b"[" * 200000 + b"]" * 200000],
+                             ids=["utf16-bytes", "deep-nesting"])
+    @pytest.mark.parametrize("argv", [
+        ["correlate"], ["qmax"], ["scan", "--n-min", "2", "--n-max", "4"], ["sample"], ["phase"],
+    ], ids=lambda argv: argv[0])
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, argv, content):
+        # a file that is not UTF-8, or nests deeper than the parser recurses
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+
     @pytest.mark.parametrize("command,payload", [
         ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**12}),
     ], ids=["huge-resolution"])
@@ -396,6 +425,13 @@ _FUZZ_BASE = {
     "phase": ({"angles": [0.1, 0.2, 0.3], "outcomes": [1, -1, 1], "resolution": 64},
               [("angles",), ("angles", 1), ("outcomes",), ("outcomes", 0), ("outcomes", 2),
                ("resolution",), ("extra",)]),
+    "qmax": ({"form": "bchsh", "n": 4, "p": 2, "alice_functional": "product",
+              "bob_functional": "product", "zero_policy": "zero", "law": "exact"},
+             [("form",), ("n",), ("p",), ("counts",), ("alice_functional",),
+              ("bob_functional",), ("zero_policy",), ("law",), ("extra",)]),
+    "sample": ({"n_plus": 2, "n_minus": 2, "angles": [0.1, 0.2, 0.3]},
+               [("n_plus",), ("n_minus",), ("angles",), ("angles", 0), ("angles", 2),
+                ("angle_sets",), ("extra",)]),
 }
 
 

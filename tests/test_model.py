@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -135,6 +136,11 @@ class TestBellFunctionalSpec:
         with pytest.raises(ValueError):
             BellFunctionalSpec.double_bchsh((1, 1, 1))
 
+    def test_pair_average_needs_two_measurements(self):
+        BellFunctionalSpec.bchsh(3, 2, bob_functional=PartyFunctional.pair_average())
+        with pytest.raises(ValueError, match="pair_average"):
+            BellFunctionalSpec.bchsh(1, 3, bob_functional=PartyFunctional.pair_average())
+
 
 class TestFanAngles:
     @pytest.mark.parametrize("chi", [0.1, math.pi / 4, 1.2])
@@ -170,3 +176,19 @@ class TestPhaseDistribution:
         vals[0] = -vals[0]
         with pytest.raises(ValueError):
             PhaseDistribution(grid, vals)
+
+    def test_fields_cannot_be_rebound(self):
+        d = PhaseDistribution(PhaseDistribution.uniform_grid(64), np.full(64, 1 / (2 * math.pi)))
+        with pytest.raises(FrozenInstanceError):
+            d.values = -np.ones(64)
+        assert d.integral() == pytest.approx(1.0, abs=1e-12)
+
+    def test_arrays_are_read_only_copies(self):
+        grid, vals = PhaseDistribution.uniform_grid(64), np.full(64, 1 / (2 * math.pi))
+        d = PhaseDistribution(grid, vals)
+        with pytest.raises(ValueError):
+            d.values[0] = -1.0
+        with pytest.raises(ValueError):
+            d.grid[0] = 0.0
+        vals[0] = -1.0
+        assert d.values[0] == 1 / (2 * math.pi)

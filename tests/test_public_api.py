@@ -1,4 +1,5 @@
-"""The package's export lists, and no unused import in its modules."""
+"""The package's export lists, and no unused import or orphaned private name in its
+modules."""
 import ast
 from pathlib import Path
 
@@ -54,3 +55,52 @@ def test_unused_import_check_sees_unused_names():
               "import os.path\nimport numpy as np\nfrom math import lgamma, pi\n"
               "__all__ = ['pi']\nx = np.zeros(1)\n")
     assert unused_imports(source) == ["os (line 2)", "lgamma (line 4)"]
+
+
+def _reference(node: ast.AST) -> str | None:
+    """The name ``node`` reads, imports or takes as an attribute, if any."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants, as ``module.name``, whose
+    name no module of ``sources`` (module name to source text) reads, imports or takes
+    as an attribute outside the name's own definition.  Names are matched across
+    modules, not resolved."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined += [(module, name) for name in sorted(names)
+                        if name.startswith("_") and not name.startswith("__")]
+            used |= {_reference(sub) for sub in ast.walk(node)} - names
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_no_unreferenced_private_name():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_privates(sources) == []
+
+
+def test_unreferenced_private_check_sees_orphans():
+    sources = {
+        "a": ("_LIMIT = 3\n_SEEN: int = 0\n__version__ = '1'\n"
+              "def _helper():\n    return _LIMIT\n"
+              "def _orphan():\n    _orphan()\n"
+              "class _Box:\n    pass\n"
+              "def used():\n    return _helper()\n"),
+        "b": "from a import _helper\nimport a\nx = a._Box\n",
+    }
+    assert unreferenced_privates(sources) == ["a._SEEN", "a._orphan"]
