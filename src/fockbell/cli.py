@@ -145,8 +145,8 @@ def cmd_correlate(args) -> int:
     if ("angles" in data) == ("angle_sets" in data):
         raise ValueError("provide exactly one of 'angles' or 'angle_sets'")
     sets = [data["angles"]] if "angles" in data else data["angle_sets"]
-    if not isinstance(sets, list):
-        raise ValueError("angle_sets must be a list of angle lists")
+    if not isinstance(sets, list) or not sets:
+        raise ValueError("angle_sets must be a non-empty list of angle lists")
     lines = []
     for i, raw in enumerate(sets):
         angles = _angle_list(raw, f"angle set {i}")

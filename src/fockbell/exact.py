@@ -58,14 +58,13 @@ def _population_logs(n_plus: int, n_minus: int, m: int):
         return up, down, -float(np.log([(n - s) / n for s in range(m)]).sum())
 
 
-def _others(factors: np.ndarray, axis: int) -> np.ndarray:
-    """For each entry, the product of the other entries along ``axis``: prefix
+def _others(factors: np.ndarray) -> np.ndarray:
+    """For each entry, the product of the other entries along axis 0: prefix
     times suffix products, so that a zero factor is never divided out."""
-    f = factors.swapaxes(0, axis)
-    before, after = np.ones_like(f), np.ones_like(f)
-    np.cumprod(f[:-1], axis=0, out=before[1:])
-    np.cumprod(f[:0:-1], axis=0, out=after[-2::-1])
-    return (before * after).swapaxes(0, axis)
+    before, after = np.ones_like(factors), np.ones_like(factors)
+    np.cumprod(factors[:-1], axis=0, out=before[1:])
+    np.cumprod(factors[:0:-1], axis=0, out=after[-2::-1])
+    return before * after
 
 
 def _binomials(m: int) -> list[int]:
@@ -145,24 +144,21 @@ class _Law:
         The measurements are multiplied in slices of at most a quarter of the table
         budget, each slice's first factor carrying the product so far, so memory does
         not grow with m and the factors are multiplied in the same order.  With
-        ``slopes`` also returns the derivative of each product by each of its angles,
-        c_j cos(lambda - phi_j)**(c_j - 1) sin(lambda - phi_j) times the other
-        factors, shape (R, m, K_lambda), 0 where c_j = 0; raises ValueError, before
-        any work, where that array would exceed a quarter of the budget.
+        ``slopes`` each row is one setting, one angle phi (m = 1), and its derivative
+        by phi, c cos(lambda - phi)**(c - 1) sin(lambda - phi), shape (R, K_lambda), is
+        returned too; raises ValueError, before any work, where that array would
+        exceed a quarter of the budget.
         """
-        powers = powers[..., None]
         # the select is much faster than a power, and faster on a boolean condition
         raised = np.power if powers.max(initial=0) > 1 else lambda c, p: np.where(p > 0, c, 1.0)
         if slopes:
             if 4 * rows.size * self.lam.size > _TREE_BUDGET:
                 raise ValueError(f"slopes of {rows.shape} angles exceed the table budget")
-            transverse = self.lam - rows[:, :, None]
+            transverse = self.lam - rows
             cosines = np.cos(transverse)
-            factors = raised(cosines, powers)
-            by_angle = powers * raised(cosines, powers - 1) * np.sin(transverse)
-            if rows.shape[1] > 1:
-                by_angle *= _others(factors, axis=1)
-            return factors.prod(axis=1), by_angle
+            return (raised(cosines, powers),
+                    powers * raised(cosines, powers - 1) * np.sin(transverse))
+        powers = powers[..., None]
         step = max(1, _TREE_BUDGET // (4 * rows.shape[0] * self.lam.size))
         for start in range(0, max(rows.shape[1], 1), step):  # m = 0: one empty product
             part = slice(start, start + step)

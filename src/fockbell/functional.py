@@ -18,14 +18,16 @@ law of the measured spins from ``exact._Law.for_law``:
   contraction, so the error stays at round-off for any M and any
   populations, and nothing grows with N.
 
-:func:`bell_value` takes a Bell quantity, a signed sum of such averages.
-Where every party keeps the product of its results, each setting's factor is
-a cosine power in lambda alone and the whole quantity is one lambda mean of a
+:func:`expectation` takes one angle per measurement.  :func:`bell_value`
+takes a Bell quantity, a signed sum of such averages, whose settings are one
+angle each: a party reads all of its spins at one setting's angle.  Where
+every party keeps the product of its results, each setting's factor is a
+cosine power in lambda alone and the whole quantity is one lambda mean of a
 product of blocks; a ``bchsh`` quantity with a plus-count party is the signed
 sum of its four averages.  Every such quantity is a trigonometric polynomial
-in the angles, and ``bell_value(..., slopes=True)`` gives with it, from one
-pass, its exact derivative by each of them, which the free-angle optimizer
-climbs; a plus-count party's matrix moves with its angle as
+in the setting angles, and ``bell_value(..., slopes=True)`` gives with it,
+from one pass, its exact derivative by each of them, which the free-angle
+optimizer climbs; a plus-count party's matrix moves with its angle as
 dR/dphi = -i (J R - R J).
 
 The tests hold these against the full outcome table of
@@ -155,40 +157,31 @@ def _couple(x: np.ndarray, y: np.ndarray, *, diagonal: bool = False) -> np.ndarr
     return np.concatenate(parts, axis=-1 if diagonal else -2)
 
 
-def _party(angles, func: PartyFunctional, *, slopes: bool = False):
+def _party(angles, func: PartyFunctional) -> np.ndarray:
     """R = sum_k f(k) P_k over the party's Dicke states, P_k the projector on k
     results +1.
 
     The results at one angle form a group, whose P_k are rank one: a party of
     one group takes f into its matrix.  A party of several groups writes
     f(k) = sum_t fhat(t) omega**(t k), omega = exp(2 pi i / (c + 1)), and couples
-    the groups' matrices sum_k omega**(t k) P_k at each t.
-
-    With ``slopes`` also returns dR / d phi, the whole group at phi moving, keyed
-    by each distinct angle phi.  Raises ValueError, before any work, where a
-    coupling of the groups would exceed the table budget.
+    the groups' matrices sum_k omega**(t k) P_k at each t.  Raises ValueError,
+    before any work, where a coupling of the groups would exceed the table budget.
     """
     groups = Counter(angles)
     if len(groups) == 1:
         (phi, c), = groups.items()
-        value = _rotated(_count_matrix(c, func), phi)
-        return (value, {phi: _slope(value)}) if slopes else value
+        return _rotated(_count_matrix(c, func), phi)
     c, sizes = len(angles), list(groups.values())
     for i in range(1, len(sizes)):  # the couplings of the groups, in order
         _chunk_rows(c + 1, sum(sizes[:i + 1]), min(sum(sizes[:i]), sizes[i]), False)
     t = np.arange(c + 1)
     roots = np.exp(2j * np.pi / (c + 1) * np.outer(t, t))
     fhat = roots.conj() @ func.values_table(c) / (c + 1)
-    mats = {}
+    mats = []
     for phi, size in groups.items():
         q = _count_states(size)
-        mats[phi] = _rotated(np.einsum("jk,tk,lk->tjl", q, roots[:, :size + 1], q), phi)
-
-    def combine(moved=None):
-        return np.tensordot(fhat, reduce(_couple, (_slope(r) if phi == moved else r
-                                                   for phi, r in mats.items())), 1)
-
-    return (combine(), {phi: combine(phi) for phi in mats}) if slopes else combine()
+        mats.append(_rotated(np.einsum("jk,tk,lk->tjl", q, roots[:, :size + 1], q), phi))
+    return np.tensordot(fhat, reduce(_couple, mats), 1)
 
 
 def _average(weights: np.ndarray, parties) -> float:
@@ -255,23 +248,20 @@ def _slot_layout(spec: BellFunctionalSpec):
 
 
 def _setting_rows(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int, law: str):
-    """Validated settings of :func:`bell_value`, slot s in row s of (R, w) arrays of
-    angles and multiplicities: where every slot is one angle, w = 1 and each
-    multiplicity is the party's count; otherwise one angle per measurement,
-    multiplicity 1, zero-padded to the largest count."""
+    """Validated settings of :func:`bell_value`: slot s in row s of (R, 1) arrays of
+    its one angle and its party's measurement count.  Raises ValueError for a slot
+    that is not one angle."""
     n, m, blocks = n_plus + n_minus, spec.m, spec.block_count
     if not all(float(p).is_integer() and p >= 0 for p in (n_plus, n_minus)) or m > n:
         raise ValueError(f"populations ({n_plus}, {n_minus}) cannot supply {m} measurements")
     if len(angles) != 4 * blocks:
         raise ValueError(f"{spec.form} takes {4 * blocks} setting slots")
-    counts, mask, product = _slot_layout(spec)
-    if isinstance(angles, np.ndarray) and angles.ndim == 1 or all(
-            np.ndim(a) == 0 for a in angles):
-        rows, powers = np.array(angles, dtype=float)[:, None], counts[:, None]
-    else:
-        rows, powers = np.zeros(mask.shape), mask.astype(int)
-        for row, value, count in zip(rows, angles, counts):
-            row[:count] = value  # one angle for the setting, or one per measurement
+    # a 1-D array, as the optimizer passes, skips the per-slot loop, which doubles the cost
+    if not (isinstance(angles, np.ndarray) and angles.ndim == 1) and any(
+            np.ndim(a) != 0 for a in angles):
+        raise ValueError(f"a setting is one angle per slot, got {angles}")
+    counts, _, product = _slot_layout(spec)
+    rows, powers = np.array(angles, dtype=float)[:, None], counts[:, None]
     if not np.isfinite(rows).all():
         raise ValueError(f"setting angles must be finite, got {angles}")
     if law not in ("exact", "classical", "gaussian"):
@@ -320,15 +310,14 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     angles : sequence
         Four setting slots (x, x', y, y') per block: (a, a', b, b') for
         ``bchsh``, eight for ``double_bchsh``, twelve for ``triple_bchsh``;
-        each a scalar or one angle per measurement of its party.
+        each one angle, at which every measurement of its party is made.
     n_plus, n_minus : int
         Populations; ``n_minus`` defaults to ``n_plus``.
     law : {"exact", "classical", "gaussian"}
         The Gaussian approximation needs product functionals, equal
         populations and every particle measured.
     slopes : bool
-        Also return the derivative by every angle in slot order: one entry for
-        a slot of one angle, one per measurement for a vector slot.
+        Also return the derivative by every slot's angle, in slot order.
 
     With B blocks the value is 2**(1 - B) times the average of
     prod_b [X_b (Y_b + Y'_b) + X'_b (Y_b - Y'_b)], each factor a party's
@@ -338,8 +327,8 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     times one lambda mean, so identically vanishing products give 0.0.  A
     ``bchsh`` layout with any other party takes its four averages T from
     :func:`expectation`.  The value is the same float with and without
-    ``slopes``, which raise ValueError where the cosines of vector slots of
-    product parties would exceed a quarter of ``exact._TREE_BUDGET``.
+    ``slopes``, which raise ValueError where the slopes of product parties'
+    cosine powers would exceed a quarter of ``exact._TREE_BUDGET``.
     """
     if n_minus is None:
         n_minus = n_plus
@@ -357,16 +346,17 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
             by_pair = np.array([[(terms * t1).sum(axis=ax), terms.sum(axis=ax)] for ax in axes])
             # the setting pairs (x_i, y_j) at index 2i + j that contain x, x', y, y'
             sums = np.einsum("kp,bvp->bkv", _MEMBERS, by_pair).reshape(4 * blocks, 2)
-            grad = np.where(mask, prefactor * (sums[:, :1] / m - sums[:, 1:] * full), 0.0)
+            grad = np.where(mask, prefactor * (sums[:, :1] / m - sums[:, 1:] * full),
+                            0.0).sum(axis=1)
     elif not product:
         # a plus-count party, so bchsh: the signed sum of the averages T(x_i, y_j)
-        settings = [tuple(np.repeat(row, c)) for row, c in zip(rows, powers)]
+        settings = [(phi,) * c for phi, c in zip(rows[:, 0], powers[:, 0])]
         value = math.fsum(
             s * expectation(ExperimentConfig(n_plus, n_minus, settings[i] + settings[2 + j]),
                             spec.party_layout, law=law)
             for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
         if slopes:
-            grad = _plus_count_slopes(spec, settings, rows, powers,
+            grad = _plus_count_slopes(spec, settings,
                                       exact._Law.for_law(law, n_plus, n_minus, m).dicke)
     else:
         kernel = exact._Law.for_law(law, n_plus, n_minus, m)
@@ -376,35 +366,24 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
         value = prefactor * kernel.moment0 * float(values.prod(axis=0).mean()) + 0.0  # no -0.0
         if slopes:
             # d prod_b block_b / d f = f's partner times the other blocks
-            others = exact._others(values, axis=0) * (prefactor * kernel.moment0 / f.shape[1])
-            grad = np.einsum("rk,rjk->rj", partners * np.repeat(others, 4, axis=0), by_angle)
-    if not slopes:
-        return value
-    if rows.shape[1] == 1:
-        return value, grad.sum(axis=1)
-    return value, np.concatenate([[row.sum()] if np.size(a) == 1 else row[:np.size(a)]
-                                  for row, a in zip(grad, angles)])
+            others = exact._others(values) * (prefactor * kernel.moment0 / f.shape[1])
+            grad = np.einsum("rk,rk->r", partners * np.repeat(others, 4, axis=0), by_angle)
+    return (value, grad) if slopes else value
 
 
-def _plus_count_slopes(spec, settings, rows, powers, weights) -> np.ndarray:
-    """d bell_value / d angle for every entry of ``rows`` of a bchsh layout with a
-    plus-count party, ``settings`` the slots' angles one per measurement.
+def _plus_count_slopes(spec, settings, weights) -> np.ndarray:
+    """d bell_value / d angle for each slot of a bchsh layout with a plus-count
+    party, ``settings`` the slots' angles repeated once per measurement.
 
     The value B(R_x, R_y + R_y') + B(R_x', R_y - R_y') is linear in each party
-    matrix, B the coupling of :func:`_average` with the Dicke ``weights``, so a
-    setting's slope couples its matrix's slope with its partner.  An entry of
-    multiplicity c takes c shares of its group's slope, one per measurement.
+    matrix, B the coupling of :func:`_average` with the Dicke ``weights``, and a
+    setting is one angle, so its matrix moves as dR/dphi = -i (J R - R J) and
+    its slope couples that with its partner.
     """
-    parties = [_party(a, spec.party_layout[s // 2][1], slopes=True)
-               for s, a in enumerate(settings)]
-    x, xp, y, yp = (value for value, _ in parties)
-    out = np.zeros(rows.shape)
-    for s, (a, (_, slopes), partner) in enumerate(
-            zip(settings, parties, (y + yp, y - yp, x + xp, x - xp))):
-        totals = {phi: _average(weights, [slope, partner]) for phi, slope in slopes.items()}
-        out[s] = [totals[phi] / (a.count(phi) / c) if c else 0.0
-                  for phi, c in zip(rows[s], powers[s])]
-    return out
+    parties = [_party(a, spec.party_layout[s // 2][1]) for s, a in enumerate(settings)]
+    x, xp, y, yp = parties
+    return np.array([_average(weights, [_slope(r), partner])
+                     for r, partner in zip(parties, (y + yp, y - yp, x + xp, x - xp))])
 
 
 def semi_mesoscopic_value(n: int, angles, *, law: str = "exact") -> float:

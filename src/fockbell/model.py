@@ -203,13 +203,6 @@ class BellFunctionalSpec:
     def block_count(self) -> int:
         return {"bchsh": 1, "double_bchsh": 2, "triple_bchsh": 3}[self.form]
 
-    @property
-    def angle_slots(self) -> int:
-        """Free angles: two settings per measurement for bchsh, two per letter otherwise."""
-        if self.form == "bchsh":
-            return 2 * self.m
-        return 2 * len(self.party_layout)
-
     @classmethod
     def bchsh(cls, alice: int, bob: int,
               alice_functional: PartyFunctional | None = None,

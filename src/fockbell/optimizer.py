@@ -10,6 +10,7 @@ reproducible from the seed alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
-_MAX_FREE_SLOTS = 16
 _GTOL = 1e-8  # largest gradient component at which a free-search restart stops
 # A restart that ends with no gradient component above this counts as converged.
 # At gtol the line search often runs into the values' round-off first and stops
@@ -125,48 +125,45 @@ def maximize_fan(spec: BellFunctionalSpec, n: int) -> OptimizationResult:
     )
 
 
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int, which must be an integer of at least ``least``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = None, *,
                   restarts: int = 64, seed: int = 0, law: str = "exact",
-                  per_measurement: bool = False, maxiter: int | None = None
-                  ) -> OptimizationResult:
-    """Maximize the Bell quantity over every free angle slot.
+                  maxiter: int | None = None) -> OptimizationResult:
+    """Maximize the Bell quantity over every setting, one free angle each.
 
     Multi-start BFGS, each point's value and analytic gradient from one
     ``bell_value(..., slopes=True)`` call; a restart stops when the largest
     gradient component falls under 1e-8, when the line search can make no
-    more progress, or after ``maxiter`` BFGS iterations (default 200 per
-    free slot), and leaves a :class:`RestartRecord`.  The first slot is
+    more progress, or after ``maxiter`` BFGS iterations (None: 200 per free
+    angle), and leaves a :class:`RestartRecord`.  The first setting is
     pinned to 0, which costs nothing by shift covariance.  The best restart
     wins, ties broken toward the lowest restart index.
 
-    Restarts start uniformly in [-pi, pi] per slot; in the gaussian law the
+    Restarts start uniformly in [-pi, pi] per angle; in the gaussian law the
     optimum shrinks like 1/sqrt(n), so there the box is pi sqrt(parties / n).
     """
+    if n_minus is None:
+        n_minus = n_plus
+    restarts = _whole("restarts", restarts, 1)
+    ndim = 4 * spec.block_count - 1
+    maxiter = 200 * ndim if maxiter is None else _whole("maxiter", maxiter, 0)
     # imported here, not at module level: SciPy takes most of a cold start
     from scipy.optimize import minimize
 
-    if n_minus is None:
-        n_minus = n_plus
-    per_measurement = per_measurement and spec.form == "bchsh"
-    nslots = spec.angle_slots if per_measurement else 4 * spec.block_count
-    if nslots > _MAX_FREE_SLOTS:
-        raise ValueError(f"{nslots} angle slots exceed the supported {_MAX_FREE_SLOTS}")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     start_scale = math.pi
     if law == "gaussian":
         start_scale *= math.sqrt(len(spec.party_layout) / (n_plus + n_minus))
-    ndim = nslots - 1
-    options = {"gtol": _GTOL, "maxiter": maxiter or 200 * ndim}
-    cuts = np.cumsum([c for c, _ in spec.party_layout for _ in range(2)])[:-1]
-
-    def settings(x: np.ndarray):
-        """Every slot with the first pinned to 0, one vector per setting if per measurement."""
-        slots = np.concatenate([[0.0], x])
-        return np.split(slots, cuts) if per_measurement else slots
+    options = {"gtol": _GTOL, "maxiter": maxiter}
 
     def negative(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, slopes = bell_value(spec, settings(x), n_plus, n_minus, law=law, slopes=True)
+        value, slopes = bell_value(spec, np.concatenate([[0.0], x]), n_plus, n_minus, law=law,
+                                   slopes=True)
         return -value, -slopes[1:]
 
     def run_restart(index: int):

@@ -269,10 +269,11 @@ class TestExitCodes:
         ("sample", {"n_plus": 1, "n_minus": 2**63, "angles": [0.1]}),
         ("phase", {"angles": [0.1], "outcomes": [1.5]}),
         ("phase", {"angles": [0.1], "outcomes": [1], "resolution": 10**22}),
+        ("correlate", {"n_plus": 2, "n_minus": 2, "angle_sets": []}),
     ], ids=["coarse-resolution", "non-numeric-n", "non-numeric-p", "infinite-n-plus-correlate",
             "infinite-n-plus-sample", "infinite-n", "infinite-angle", "fractional-n",
             "fractional-p", "boolean-n-plus", "n-minus-past-int64", "fractional-outcome",
-            "resolution-past-int64"])
+            "resolution-past-int64", "empty-angle-sets"])
     def test_bad_input_is_config_error(self, tmp_path, capsys, command, payload):
         # integers are whole numbers that fit in 64 bits: none is truncated or wraps
         path = write(tmp_path, "in.json", payload)

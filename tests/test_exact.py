@@ -528,12 +528,13 @@ class TestAnyPopulation:
         law = _Law.for_law("exact", 6, 6, 12)
         angles, counts = rng.uniform(-np.pi, np.pi, 3), np.array([5, 1, 3])
         whole, by_angle = law.cosine_products(angles[:, None], counts[:, None], slopes=True)
-        single = np.repeat(angles, counts)[None]
-        product, by_one = law.cosine_products(single, np.ones(single.shape, dtype=int),
+        single = np.repeat(angles, counts)[:, None]
+        factors, by_one = law.cosine_products(single, np.ones(single.shape, dtype=int),
                                               slopes=True)
-        np.testing.assert_allclose(whole.prod(axis=0), product[0], rtol=0, atol=1e-15)
-        summed = np.add.reduceat(by_one[0], np.cumsum([0, 5, 1]), axis=0)
-        np.testing.assert_allclose(by_angle[:, 0] * exact._others(whole, axis=0), summed,
+        np.testing.assert_allclose(whole.prod(axis=0), factors.prod(axis=0), rtol=0, atol=1e-15)
+        # the product rule: each equal cosine's slope times every other factor
+        summed = np.add.reduceat(by_one * exact._others(factors), [0, 5, 6], axis=0)
+        np.testing.assert_allclose(by_angle * exact._others(whole), summed,
                                    rtol=0, atol=1e-14)
 
     def test_dicke_weights_take_exact_binomials(self):

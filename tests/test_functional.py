@@ -199,11 +199,17 @@ class TestBellValue:
         want = 3 * correlation_closed_form(n, p, chi) - correlation_closed_form(n, p, 3 * chi)
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_per_measurement_vectors_accepted(self):
-        spec = BellFunctionalSpec.bchsh(2, 2)
-        flat = bell_value(spec, [0.3, -0.1, 0.9, 1.4], 2, 2)
-        vec = bell_value(spec, [[0.3, 0.3], [-0.1, -0.1], [0.9, 0.9], [1.4, 1.4]], 2, 2)
-        assert vec == pytest.approx(flat, abs=1e-13)
+    @pytest.mark.parametrize("angles", [
+        [[0.3, 0.3], -0.1, 0.9, 1.4],
+        [[0.3, 0.3], [-0.1], [0.9, 0.9, 0.9], [1.4, 1.4]],
+        np.full((4, 2), 0.3),
+        [[0.3], [-0.1, -0.1], [0.9, 0.9], [1.4, 1.4]],
+    ], ids=["vector-slot", "ragged", "two-dimensional", "one-element-list"])
+    def test_setting_that_is_not_one_angle_rejected(self, angles):
+        # a setting is one angle for all of its party's measurements; a one-element
+        # list was once spread over a party of two and gave 1.4492...
+        with pytest.raises(ValueError, match="one angle per slot"):
+            bell_value(BellFunctionalSpec.bchsh(2, 2), angles, 2, 2)
 
     @pytest.mark.parametrize("spec", [
         BellFunctionalSpec.triple_bchsh((1,) * 6),
@@ -286,13 +292,14 @@ class TestBellValue:
 
     @pytest.mark.parametrize("law", ["exact", "classical"])
     def test_bchsh_is_signed_sum_of_four_expectations(self, law):
-        # binned and pair-average parties, per-measurement vectors, M = 5 < N = 7
+        # binned and pair-average parties, each setting repeated over its party's
+        # measurements, M = 5 < N = 7
         layout = ((3, BINNED_ZERO), (2, PartyFunctional.pair_average()))
         spec = BellFunctionalSpec.bchsh(3, 2, BINNED_ZERO, PartyFunctional.pair_average())
         rng = np.random.default_rng(71)
         for _ in range(3):
-            a, ap, b, bp = (rng.uniform(-np.pi, np.pi, c) for c in (3, 3, 2, 2))
-            want = sum(s * expectation(ExperimentConfig(4, 3, tuple(x) + tuple(y)), layout,
+            a, ap, b, bp = rng.uniform(-np.pi, np.pi, 4)
+            want = sum(s * expectation(ExperimentConfig(4, 3, (x,) * 3 + (y,) * 2), layout,
                                        law=law)
                        for x, y, s in [(a, b, 1), (ap, b, 1), (a, bp, 1), (ap, bp, -1)])
             assert bell_value(spec, [a, ap, b, bp], 4, 3, law=law) == pytest.approx(
@@ -342,19 +349,14 @@ class TestBellValue:
 
 
 def central_differences(spec, angles, n_plus, n_minus, law, h=1e-5):
-    """d bell_value / d angle by central differences, flattened as its slopes are."""
-    flat = np.concatenate([np.ravel(a) for a in angles]).astype(float)
-    cuts = np.cumsum([np.size(a) for a in angles])[:-1]
-
-    def value(x):
-        slots = [p[0] if np.ndim(a) == 0 else p for p, a in zip(np.split(x, cuts), angles)]
-        return bell_value(spec, slots, n_plus, n_minus, law=law)
-
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        step = np.zeros_like(flat)
+    """d bell_value / d angle by central differences, one per setting slot."""
+    angles = np.asarray(angles, dtype=float)
+    out = np.empty_like(angles)
+    for i in range(angles.size):
+        step = np.zeros_like(angles)
         step[i] = h
-        out[i] = (value(flat + step) - value(flat - step)) / (2 * h)
+        out[i] = (bell_value(spec, angles + step, n_plus, n_minus, law=law)
+                  - bell_value(spec, angles - step, n_plus, n_minus, law=law)) / (2 * h)
     return out
 
 
@@ -385,17 +387,6 @@ class TestBellGradient:
                                        central_differences(spec, angles, n, n, law),
                                        rtol=0, atol=1e-7)
 
-    @pytest.mark.parametrize("law, n_plus, n_minus", [
-        ("exact", 5, 3), ("exact", 2, 6), ("classical", 4, 4), ("gaussian", 3, 3)])
-    def test_per_measurement_vectors(self, law, n_plus, n_minus):
-        # repeated and distinct angles within a slot; M = 6 < N = 8 on the grid laws
-        spec = BellFunctionalSpec.bchsh(2, 4)
-        angles = [np.array([0.3, -1.2]), np.array([0.7, 0.7]),
-                  np.array([1.1, -0.4, 1.1, 2.0]), 0.5]
-        np.testing.assert_allclose(
-            bell_value(spec, angles, n_plus, n_minus, law=law, slopes=True)[1],
-            central_differences(spec, angles, n_plus, n_minus, law), rtol=0, atol=1e-7)
-
     def test_block_form_at_unequal_populations_is_flat(self):
         # every letter product vanishes identically, so does every slope
         spec = BellFunctionalSpec.double_bchsh((2, 1, 2, 1))
@@ -411,12 +402,10 @@ class TestBellGradient:
         ((1, BINNED_ZERO), (3, BINNED)),
     ], ids=["binned", "random-pair", "pair-product", "semi", "one-result"])
     def test_plus_count_parties(self, alice, bob, law):
-        # a one-result party's slope takes the expansion of zero results; M = 5 or 4 < N = 7
+        # one-result parties among them; M = 5 or 4 < N = 7
         spec = BellFunctionalSpec.bchsh(alice[0], bob[0], alice[1], bob[1])
         rng = np.random.default_rng(97)
-        a = rng.uniform(-np.pi, np.pi, alice[0])
-        a[-1] = a[0]
-        angles = [a, 0.4, rng.uniform(-np.pi, np.pi, bob[0]), -1.3]
+        angles = [rng.uniform(-np.pi, np.pi), 0.4, rng.uniform(-np.pi, np.pi), -1.3]
         np.testing.assert_allclose(bell_value(spec, angles, 4, 3, law=law, slopes=True)[1],
                                    central_differences(spec, angles, 4, 3, law),
                                    rtol=0, atol=1e-7)
@@ -431,34 +420,15 @@ class TestBellGradient:
                                    rtol=0, atol=1e-7)
 
 
-    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
     @pytest.mark.parametrize("spec, law", SLOPE_CASES)
-    def test_value_is_the_same_float_with_slopes(self, spec, law, vector):
+    def test_value_is_the_same_float_with_slopes(self, spec, law):
         rng = np.random.default_rng(107)
-        counts = [c for c, _ in spec.party_layout for _ in range(2)]
         n = (spec.m + 1) // 2
         for _ in range(3):
-            angles = [rng.uniform(-np.pi, np.pi, c) if vector else rng.uniform(-np.pi, np.pi)
-                      for c in counts]
+            angles = [rng.uniform(-np.pi, np.pi) for _ in range(4 * spec.block_count)]
             value, slopes = bell_value(spec, angles, n, spec.m - n, law=law, slopes=True)
             assert value == bell_value(spec, angles, n, spec.m - n, law=law)
-            assert slopes.shape == ((spec.m * 2,) if vector else (len(angles),))
-
-    @pytest.mark.parametrize("spec, law", SLOPE_CASES)
-    def test_scalar_slope_sums_vector_slopes(self, spec, law):
-        # a slot of one angle is one cosine power; the same angle per measurement is a
-        # product of single cosines, whose slopes add up to the power's
-        counts = [c for c, _ in spec.party_layout for _ in range(2)]
-        cuts = np.cumsum(counts)[:-1]
-        n = (spec.m + 1) // 2
-        rng = np.random.default_rng(109)
-        for _ in range(3):
-            angles = rng.uniform(-np.pi, np.pi, len(counts))
-            vectors = [np.full(c, a) for a, c in zip(angles, counts)]
-            _, scalar = bell_value(spec, angles, n, spec.m - n, law=law, slopes=True)
-            _, per_measurement = bell_value(spec, vectors, n, spec.m - n, law=law, slopes=True)
-            summed = [part.sum() for part in np.split(per_measurement, cuts)]
-            np.testing.assert_allclose(scalar, summed, rtol=0, atol=1e-13)
+            assert slopes.shape == (len(angles),)
 
     def test_slope_memory_does_not_grow_with_m_squared(self):
         # one cosine power per setting: per-measurement slopes would take 4 x 1000 x 2001
@@ -474,11 +444,13 @@ class TestBellGradient:
         assert peak < 8 * exact._TREE_BUDGET
         assert np.isfinite(slopes).all() and abs(value) <= 2.0
 
-    def test_vector_slopes_past_the_budget_raise_before_allocating(self):
-        # 4 rows x 1000 angles x 2001 nodes, over a quarter of the table budget
+    def test_slopes_past_the_budget_raise_before_allocating(self, monkeypatch):
+        # 4 settings x 2001 nodes, over a quarter of a budget of 8 x 4000 elements
         spec = BellFunctionalSpec.bchsh(1000, 1000)
-        angles = [np.zeros(1000)] + [0.1, 0.2, 0.3]
-        exact._Law.for_law("exact", 1000, 1000, 2000)  # the law itself is cached
+        angles = [0.0, 0.1, 0.2, 0.3]
+        monkeypatch.setattr(exact, "_TREE_BUDGET", 8 * 4000)
+        # the value takes slices; it also fills the caches of the law and the layout
+        assert abs(bell_value(spec, angles, 1000, 1000)) <= 2.0
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="budget"):
@@ -486,8 +458,7 @@ class TestBellGradient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 4 * 1000 * 8
-        assert abs(bell_value(spec, angles, 1000, 1000)) <= 2.0  # the value takes slices
+        assert peak < 4 * 2001 * 8  # less than one array of the slopes' shape
 
 
 class TestSemiMesoscopic:

@@ -116,7 +116,6 @@ class TestBellFunctionalSpec:
         spec = BellFunctionalSpec.bchsh(2, 2)
         assert spec.m == 4
         assert spec.block_count == 1
-        assert spec.angle_slots == 8  # two settings per measurement
 
     def test_double_requires_product(self):
         with pytest.raises(ValueError):
@@ -128,9 +127,6 @@ class TestBellFunctionalSpec:
     def test_letter_counts(self):
         spec = BellFunctionalSpec.double_bchsh((1, 2, 1, 2))
         assert spec.m == 6
-        assert spec.angle_slots == 8
-        spec3 = BellFunctionalSpec.triple_bchsh((1,) * 6)
-        assert spec3.angle_slots == 12
 
     def test_party_count_enforced(self):
         with pytest.raises(ValueError):

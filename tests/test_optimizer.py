@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from fockbell import optimizer
 from fockbell.exact import correlation_closed_form
-from fockbell.functional import bell_value
-from fockbell.model import BellFunctionalSpec, PartyFunctional
+from fockbell.functional import bell_value, expectation
+from fockbell.model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
 from fockbell.optimizer import (
     _uniform_from_counter,
     double_letter_counts,
@@ -92,16 +93,25 @@ class TestMaximizeFree:
         assert res.q_max == pytest.approx(2 * math.sqrt(2), abs=1e-7)
 
     def test_per_measurement_freedom_gains_nothing(self):
-        # freeing every measurement angle collapses back to the single-angle
-        # optimum value: the 8-dimensional maximum equals the fan maximum.
+        # freeing every measurement angle collapses back to the one-angle-per-setting
+        # optimum value: the maximum over 8 per-measurement angles, the first pinned
+        # to 0, of the signed sum of four expectations equals the fan maximum.
         # (The maximizing set itself contains exactly flat directions, e.g.
-        # pi-shifted partner slots, so individual angle equality is not the
+        # pi-shifted partner angles, so individual angle equality is not the
         # invariant; the value is.)
-        spec = BellFunctionalSpec.bchsh(2, 2)
-        res = maximize_free(spec, 2, 2, restarts=24, seed=3, per_measurement=True)
-        fan = maximize_fan(spec, 4)
-        assert res.q_max == pytest.approx(2.2761423749, abs=1e-3)
-        assert abs(res.q_max - fan.q_max) < 1e-6
+        layout = [(2, PartyFunctional.product())] * 2
+
+        def negative(x):
+            a, ap, b, bp = np.split(np.concatenate([[0.0], x]), 4)
+            return -sum(s * expectation(ExperimentConfig(2, 2, tuple(u) + tuple(v)), layout)
+                        for u, v, s in [(a, b, 1), (ap, b, 1), (a, bp, 1), (ap, bp, -1)])
+
+        rng = np.random.default_rng(3)
+        best = max(-minimize(negative, rng.uniform(-np.pi, np.pi, 7), method="BFGS").fun
+                   for _ in range(24))
+        fan = maximize_fan(BellFunctionalSpec.bchsh(2, 2), 4)
+        assert best == pytest.approx(2.2761423749, abs=1e-3)
+        assert abs(best - fan.q_max) < 1e-6
 
     def test_never_below_fan(self):
         spec = BellFunctionalSpec.bchsh(2, 2)
@@ -176,10 +186,26 @@ class TestMaximizeFree:
         assert not res.converged
         assert res.restarts[0].gradient_norm > 1e-6
 
-    def test_slot_cap(self):
-        spec = BellFunctionalSpec.bchsh(5, 5)
-        with pytest.raises(ValueError):
-            maximize_free(spec, 5, 5, per_measurement=True)  # 20 slots
+    def test_zero_iterations_stop_at_the_start_point(self):
+        # only None selects the default iteration count
+        spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
+        res = maximize_free(spec, 2, 2, restarts=1, seed=4, maxiter=0)
+        assert res.restarts[0].nfev == 1
+        assert not res.converged
+
+    @pytest.mark.parametrize("kwargs", [
+        {"maxiter": -1}, {"maxiter": 2.0}, {"maxiter": True},
+        {"restarts": True}, {"restarts": 2.0}, {"restarts": 0}, {"restarts": None},
+    ], ids=["negative-maxiter", "float-maxiter", "bool-maxiter",
+            "bool-restarts", "float-restarts", "no-restarts", "none-restarts"])
+    def test_integer_arguments_checked(self, kwargs, monkeypatch):
+        # checked before any search: a bool restart count once ran one restart
+        def search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(optimizer, "bell_value", search)
+        with pytest.raises(ValueError, match="must be an integer"):
+            maximize_free(BellFunctionalSpec.double_bchsh((1, 1, 1, 1)), 2, 2, **kwargs)
 
 
 class TestScan:
