@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import ExperimentConfig, OutcomeSequence
+from .model import ExperimentConfig, OutcomeSequence, _finite_angles
 
 __all__ = [
     "sequence_probability",
@@ -374,11 +374,11 @@ def correction_factor_g(m: int, n_plus: int, n_minus: int) -> float:
 
 def classical_all_probabilities(angles) -> np.ndarray:
     """All 2**M outcome probabilities under the classical-phase law."""
-    angles = [float(a) for a in angles]
+    angles = _finite_angles(angles)
     return _Law.for_law("classical", 0, 0, len(angles)).table(angles)
 
 
 def classical_product_correlation(angles) -> float:
     """Product-of-results average under the classical-phase law."""
-    angles = [float(a) for a in angles]
+    angles = _finite_angles(angles)
     return float(_product(_Law.for_law("classical", 0, 0, len(angles)), [angles])[0])

@@ -4,31 +4,32 @@ A functional assigns each party a value in [-1, +1] computed from its local
 outcomes; the expectation weights those values with the exact outcome
 distribution (or, on request, the classical-phase law or the Gaussian
 approximation).  Every party functional depends only on how many of the
-party's results are +1, so two routes cover every layout, both reading the
-law of the measured spins from ``exact._Law.for_law``:
+party's results are +1, so two routes cover the layouts taken, both reading
+the law of the measured spins from ``exact._Law.for_law``:
 
 * a pure-product fast path: the law's zeroth moment times one lambda mean of
   a cosine product,
-* a plus-count route on Dicke states: the M measured spins of a double Fock
-  state are in a mixture of Dicke states |M, a> with the law's weights
-  p_a >= 0, and a party is the matrix R = sum_k f(k) P_k over its own Dicke
-  states, P_k the projector on k of its results +1 (see :func:`_party`).
-  Parties couple through the stretched Clebsch-Gordan weights, and the value
-  is sum_a p_a <M, a| R_A (x) R_B (x) ... |M, a>.  Every step is a
-  contraction, so the error stays at round-off for any M and any
-  populations, and nothing grows with N.
+* a plus-count route on Dicke states, for the layouts of a BCHSH pair: at most
+  two parties, each reading all of its spins at one angle.  The M measured
+  spins of a double Fock state are in a mixture of Dicke states |M, a> with
+  the law's weights p_a >= 0, and a party is the matrix R = sum_k f(k) P_k
+  over its own Dicke states, P_k the projector on k of its results +1 (see
+  :func:`_party`).  The two parties couple through the stretched
+  Clebsch-Gordan weights, and the value is sum_a p_a <M, a| R_A (x) R_B |M, a>.
+  Every step is a contraction, so the error stays at round-off for any M and
+  any populations, and nothing grows with N.
 
-:func:`expectation` takes one angle per measurement.  :func:`bell_value`
-takes a Bell quantity, a signed sum of such averages, whose settings are one
-angle each: a party reads all of its spins at one setting's angle.  Where
-every party keeps the product of its results, each setting's factor is a
-cosine power in lambda alone and the whole quantity is one lambda mean of a
-product of blocks; a ``bchsh`` quantity with a plus-count party is the signed
-sum of its four averages.  Every such quantity is a trigonometric polynomial
-in the setting angles, and ``bell_value(..., slopes=True)`` gives with it,
-from one pass, its exact derivative by each of them, which the free-angle
-optimizer climbs; a plus-count party's matrix moves with its angle as
-dR/dphi = -i (J R - R J).
+:func:`expectation` takes one angle per measurement; any other layout with a
+plus-count party raises ValueError.  :func:`bell_value` takes a Bell quantity,
+a signed sum of such averages, whose settings are one angle each: a party
+reads all of its spins at one setting's angle.  Where every party keeps the
+product of its results, each setting's factor is a cosine power in lambda
+alone and the whole quantity is one lambda mean of a product of blocks; a
+``bchsh`` quantity with a plus-count party is the signed sum of its four
+averages.  Every such quantity is a trigonometric polynomial in the setting
+angles, and ``bell_value(..., slopes=True)`` gives with it, from one pass, its
+exact derivative by each of them, which the free-angle optimizer climbs; a
+plus-count party's matrix moves with its angle as dR/dphi = -i (J R - R J).
 
 The tests hold these against the full outcome table of
 ``exact.all_sequence_probabilities``, the state-vector oracle, exact integer
@@ -38,8 +39,7 @@ derivatives, central differences.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,74 +122,39 @@ def _stretched(small: int, large: int):
     return w, index
 
 
-def _chunk_rows(batch: int, c: int, small: int, diagonal: bool) -> int:
-    """Output rows a of a coupling of c results gathered at a time, within the table
-    budget.  Raises ValueError where a whole matrix, or one row of its gather, would
-    exceed it; a diagonal takes at least one row, (small + 1)**2 elements."""
-    row = batch * (small + 1) ** 2 * (1 if diagonal else c + 1)
-    if not diagonal and max(row, batch * (c + 1) ** 2) > exact._TREE_BUDGET:
-        raise ValueError(f"coupling {small} to {c - small} results exceeds the table budget")
-    return max(1, exact._TREE_BUDGET // row)
-
-
-def _couple(x: np.ndarray, y: np.ndarray, *, diagonal: bool = False) -> np.ndarray:
-    """Matrices of two sets of spins over their Dicke states (last two axes, leading
-    axes batched) coupled onto the Dicke states of all their spins,
-    out[a, b] = sum_(j, k) w[a, j] w[b, k] x[j, k] y[a - j, b - k], or with
-    ``diagonal`` out[a] = out[a, a] alone.  The sum runs over the smaller set."""
+def _couple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The matrices of a BCHSH pair of parties over their Dicke states coupled onto
+    the Dicke states of all their spins, on the diagonal alone:
+    out[a] = sum_(j, k) w[a, j] w[a, k] x[j, k] y[a - j, a - k].  The sum runs over
+    the smaller set, a chunk of rows a at a time within the table budget; a row
+    takes (small + 1)**2 elements."""
     if x.shape[-1] > y.shape[-1]:
         x, y = y, x
     small, large = x.shape[-1] - 1, y.shape[-1] - 1
     w, index = _stretched(small, large)
-    flat = y.reshape(y.shape[:-2] + (-1,))
-    step = _chunk_rows(math.prod(y.shape[:-2]), small + large, small, diagonal)
+    flat = y.reshape(-1)
+    step = max(1, exact._TREE_BUDGET // (small + 1) ** 2)
     parts = []
     for start in range(0, small + large + 1, step):
         rows = slice(start, start + step)
-        if diagonal:
-            block = flat[..., index[rows, :, None] * (large + 1) + index[rows, None, :]]
-            parts.append(np.einsum("aj,...ajk,ak->...a", w[rows], block * x[..., None, :, :],
-                                   w[rows]))
-        else:
-            block = flat[..., index[rows, :, None, None] * (large + 1) + index]
-            parts.append(np.einsum("aj,...ajbk,bk->...ab", w[rows],
-                                   block * x[..., None, :, None, :], w))
-    return np.concatenate(parts, axis=-1 if diagonal else -2)
+        block = flat[index[rows, :, None] * (large + 1) + index[rows, None, :]]
+        parts.append(np.einsum("aj,ajk,ak->a", w[rows], block * x, w[rows]))
+    return np.concatenate(parts)
 
 
-def _party(angles, func: PartyFunctional) -> np.ndarray:
-    """R = sum_k f(k) P_k over the party's Dicke states, P_k the projector on k
-    results +1.
-
-    The results at one angle form a group, whose P_k are rank one: a party of
-    one group takes f into its matrix.  A party of several groups writes
-    f(k) = sum_t fhat(t) omega**(t k), omega = exp(2 pi i / (c + 1)), and couples
-    the groups' matrices sum_k omega**(t k) P_k at each t.  Raises ValueError,
-    before any work, where a coupling of the groups would exceed the table budget.
-    """
-    groups = Counter(angles)
-    if len(groups) == 1:
-        (phi, c), = groups.items()
-        return _rotated(_count_matrix(c, func), phi)
-    c, sizes = len(angles), list(groups.values())
-    for i in range(1, len(sizes)):  # the couplings of the groups, in order
-        _chunk_rows(c + 1, sum(sizes[:i + 1]), min(sum(sizes[:i]), sizes[i]), False)
-    t = np.arange(c + 1)
-    roots = np.exp(2j * np.pi / (c + 1) * np.outer(t, t))
-    fhat = roots.conj() @ func.values_table(c) / (c + 1)
-    mats = []
-    for phi, size in groups.items():
-        q = _count_states(size)
-        mats.append(_rotated(np.einsum("jk,tk,lk->tjl", q, roots[:, :size + 1], q), phi))
-    return np.tensordot(fhat, reduce(_couple, mats), 1)
+def _party(phi: float, count: int, func: PartyFunctional) -> np.ndarray:
+    """R = sum_k f(k) P_k over the Dicke states of a party's ``count`` spins, P_k
+    the projector on k results +1.  A party of a BCHSH pair reads all of its spins
+    at the one angle ``phi``, so every P_k is rank one."""
+    return _rotated(_count_matrix(count, func), phi)
 
 
 def _average(weights: np.ndarray, parties) -> float:
-    """sum_a p_a <M, a| R_1 (x) R_2 (x) ... |M, a>: the parties coupled in order,
-    the last one on the diagonal alone."""
-    *rest, last = parties
-    inner = reduce(_couple, rest) if rest else np.ones((1, 1))
-    return float(weights @ _couple(inner, last, diagonal=True).real)
+    """sum_a p_a <M, a| R_A (x) R_B |M, a> for a BCHSH pair of parties, or
+    sum_a p_a <M, a| R_A |M, a> for one party alone."""
+    if len(parties) == 1:
+        return float(weights @ parties[0].diagonal().real)
+    return float(weights @ _couple(*parties).real)
 
 
 def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> float:
@@ -206,15 +171,14 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
         Outcome distribution: the full quantum law or the classical-phase
         (separable) law.
 
-    All-product layouts take one product-correlation integral.  Every other
-    layout takes each party's matrix over its own Dicke states (see
-    :func:`_party`) and the mixture of Dicke states of the measured spins:
-    every step is a contraction, so the error stays at round-off for any M and
-    any populations.
-
-    Raises ValueError where coupling the groups of a party of several angles,
-    or any party but the last of three or more, would take more than
-    ``exact._TREE_BUDGET`` elements: such a party of a few hundred results.
+    All-product layouts take one product-correlation integral, at any angles.
+    A layout with any other party must be a BCHSH pair: at most two parties
+    once zero-count parties are folded into a constant, each reading all of its
+    measurements at one angle.  It takes each party's matrix over its own Dicke
+    states (see :func:`_party`) and the mixture of Dicke states of the measured
+    spins: every step is a contraction, so the error stays at round-off for any
+    M and any populations.  Any other layout raises ValueError before any
+    matrix is built.
 
     The result always lies in [-1, 1] because every party value does.
     """
@@ -230,10 +194,13 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
             return constant * exact.correlation_e(config)
         return constant * exact.classical_product_correlation(config.angles)
 
+    starts = np.cumsum([0] + [count for count, _ in layout])[:-1]
+    if len(layout) > 2 or any(len(set(config.angles[s:s + c])) > 1
+                              for s, (c, _) in zip(starts, layout)):
+        raise ValueError("a layout with a plus-count party takes at most two parties, "
+                         "each reading all of its results at one angle")
     weights = exact._Law.for_law(law, config.n_plus, config.n_minus, config.m).dicke
-    cuts = np.cumsum([0] + [count for count, _ in layout])
-    parties = [_party(config.angles[start:stop], func)
-               for start, stop, (_, func) in zip(cuts, cuts[1:], layout)]
+    parties = [_party(config.angles[s], c, f) for s, (c, f) in zip(starts, layout)]
     return constant * _average(weights, parties)
 
 
@@ -356,7 +323,7 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
                             spec.party_layout, law=law)
             for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
         if slopes:
-            grad = _plus_count_slopes(spec, settings,
+            grad = _plus_count_slopes(spec, rows[:, 0],
                                       exact._Law.for_law(law, n_plus, n_minus, m).dicke)
     else:
         kernel = exact._Law.for_law(law, n_plus, n_minus, m)
@@ -371,16 +338,16 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     return (value, grad) if slopes else value
 
 
-def _plus_count_slopes(spec, settings, weights) -> np.ndarray:
+def _plus_count_slopes(spec, angles, weights) -> np.ndarray:
     """d bell_value / d angle for each slot of a bchsh layout with a plus-count
-    party, ``settings`` the slots' angles repeated once per measurement.
+    party, ``angles`` the slots' angles.
 
     The value B(R_x, R_y + R_y') + B(R_x', R_y - R_y') is linear in each party
     matrix, B the coupling of :func:`_average` with the Dicke ``weights``, and a
     setting is one angle, so its matrix moves as dR/dphi = -i (J R - R J) and
     its slope couples that with its partner.
     """
-    parties = [_party(a, spec.party_layout[s // 2][1]) for s, a in enumerate(settings)]
+    parties = [_party(phi, *spec.party_layout[s // 2]) for s, phi in enumerate(angles)]
     x, xp, y, yp = parties
     return np.array([_average(weights, [_slope(r), partner])
                      for r, partner in zip(parties, (y + yp, y - yp, x + xp, x - xp))])

@@ -6,6 +6,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,24 @@ def normalize_angle(phi: float) -> float:
     # remainder() returns (-pi, pi] with ties to even; fold the +pi endpoint.
     if out >= math.pi:
         out -= TWO_PI
+    return out
+
+
+def _whole(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int: an integer, not a bool, and at least ``least`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _finite_angles(angles) -> list[float]:
+    """``angles`` as floats, each of which must be finite."""
+    out = [float(a) for a in angles]
+    bad = [a for a in out if not math.isfinite(a)]
+    if bad:
+        raise ValueError(f"angles must be finite, got {bad[0]!r}")
     return out
 
 
@@ -86,10 +105,10 @@ class OutcomeSequence:
     etas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(e) for e in self.etas)
-        if any(e not in (-1, 1) for e in cleaned):
-            raise ValueError("every outcome must be +1 or -1")
-        object.__setattr__(self, "etas", cleaned)
+        bad = [e for e in self.etas if e not in (-1, 1)]
+        if bad:
+            raise ValueError(f"outcomes must each be exactly +1 or -1, got {bad[0]!r}")
+        object.__setattr__(self, "etas", tuple(int(e) for e in self.etas))
 
     def __len__(self) -> int:
         return len(self.etas)

@@ -10,14 +10,13 @@ reproducible from the seed alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import _closed_form_sum, correlation_closed_form
 from .functional import bell_value
-from .model import BellFunctionalSpec, FanAngles
+from .model import BellFunctionalSpec, FanAngles, _whole
 
 __all__ = [
     "OptimizationResult",
@@ -125,13 +124,6 @@ def maximize_fan(spec: BellFunctionalSpec, n: int) -> OptimizationResult:
     )
 
 
-def _whole(name: str, value, least: int) -> int:
-    """``value`` as an int, which must be an integer of at least ``least``, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
 def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = None, *,
                   restarts: int = 64, seed: int = 0, law: str = "exact",
                   maxiter: int | None = None) -> OptimizationResult:
@@ -147,10 +139,11 @@ def maximize_free(spec: BellFunctionalSpec, n_plus: int, n_minus: int | None = N
 
     Restarts start uniformly in [-pi, pi] per angle; in the gaussian law the
     optimum shrinks like 1/sqrt(n), so there the box is pi sqrt(parties / n).
+    ``seed`` may be any integer; it is taken modulo 2**64.
     """
     if n_minus is None:
         n_minus = n_plus
-    restarts = _whole("restarts", restarts, 1)
+    restarts, seed = _whole("restarts", restarts, 1), _whole("seed", seed)
     ndim = 4 * spec.block_count - 1
     maxiter = 200 * ndim if maxiter is None else _whole("maxiter", maxiter, 0)
     # imported here, not at module level: SciPy takes most of a cold start
@@ -237,7 +230,7 @@ def scan_qmax_vs_n(spec_for_n, n_values, *, mode: str = "fan", restarts: int = 6
     that search checks mode and law before it starts, so a bad input raises
     before any search runs.
     """
-    n_values = [int(n) for n in n_values]
+    n_values = [_whole("n", n) for n in n_values]
     if any(n % 2 for n in n_values):
         raise ValueError("scan runs over even particle numbers")
     specs = [spec_for_n(n) for n in n_values]

@@ -13,6 +13,8 @@ from math import comb, sqrt
 
 import numpy as np
 
+from .model import _finite_angles
+
 __all__ = [
     "SpinStateVector",
     "w_state",
@@ -70,7 +72,7 @@ def oracle_all_probabilities(state: SpinStateVector, angles) -> np.ndarray:
     n butterfly passes of O(2**n) work replace 2**n separate projector
     chains.  Index bit j set means spin j gave +1.
     """
-    angles = [float(a) for a in angles]
+    angles = _finite_angles(angles)
     if len(angles) != state.n:
         raise ValueError("need exactly one angle per spin")
     amps = state.amplitudes.copy()

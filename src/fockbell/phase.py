@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .model import ExperimentConfig, PhaseDistribution
+from .model import ExperimentConfig, OutcomeSequence, PhaseDistribution, _finite_angles, _whole
 
 __all__ = [
     "ConditioningError",
@@ -46,14 +46,10 @@ def phase_posterior(angles, outcomes, resolution: int = DEFAULT_RESOLUTION) -> P
     density; one whose density vanishes at every node raises
     :class:`ConditioningError`.
     """
-    angles = np.array([float(a) for a in angles])
-    etas = np.array([int(e) for e in outcomes], dtype=np.intp)
+    angles = np.array(_finite_angles(angles))
+    etas = np.array(OutcomeSequence(tuple(outcomes)).etas, dtype=np.intp)
     if angles.size != etas.size:
         raise ValueError("angles and outcomes must pair up")
-    if not np.isfinite(angles).all():
-        raise ValueError("angles must be finite")
-    if np.any(np.abs(etas) != 1):
-        raise ValueError("outcomes must be +-1")
     grid = PhaseDistribution.uniform_grid(resolution)
     distinct, column = np.unique(angles, return_inverse=True)
     plus = np.bincount(column[etas > 0], minlength=distinct.size)
@@ -210,9 +206,8 @@ def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,
     M + 1 per distinct count state; each batch's Philox streams are computed
     together, so memory does not grow with ``count``.
     """
+    count, seed = _whole("count", count, 1), _whole("seed", seed)
     law = exact._Law.for_law(mode, config.n_plus, config.n_minus, config.m)
-    if count < 1:
-        raise ValueError("need a positive sample count")
     m = config.m
     if m == 0:
         return np.empty((count, 0), dtype=np.int8)

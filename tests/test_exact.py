@@ -590,6 +590,14 @@ class TestClassicalLaw:
         assert worst[1000] < 0.01
         assert worst[1000] < worst[200]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # both returned NaN, where ExperimentConfig raises
+        with pytest.raises(ValueError, match="finite"):
+            classical_product_correlation([bad, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            classical_all_probabilities([bad, 0.1])
+
     def test_odd_product_is_exactly_zero(self):
         # a product of an odd number of cosines has no constant term in lambda
         rng = np.random.default_rng(3)

@@ -211,9 +211,11 @@ def test_correction_factor_g(n_plus, n_minus, m):
 
 @pytest.mark.parametrize("n_plus,n_minus,m,law,unit", PLUS_COUNT_CASES)
 def test_plus_count_expectation(n_plus, n_minus, m, law, unit):
-    # two binned-sign parties, the first half of the measurements and the rest
+    # two binned-sign parties, the first half of the measurements and the rest, each
+    # reading all of its results at one turn: the drawn turns on either side of the cut
     half = m // 2
-    turns = random_turns(m, m, unit)
+    drawn = random_turns(m, m, unit)
+    turns = (drawn[half - 1],) * half + (drawn[half],) * (m - half)
     first, second = PartyFunctional.binned_sign(), PartyFunctional.binned_sign("zero")
     k1, k2 = plus_counts(m, range(half)), plus_counts(m, range(half, m))
     values = [first.value_given_plus_count(a, half) * second.value_given_plus_count(b, m - half)
@@ -222,6 +224,24 @@ def test_plus_count_expectation(n_plus, n_minus, m, law, unit):
     got = expectation(ExperimentConfig(n_plus, n_minus, angles_of(turns, unit)),
                       [(half, first), (m - half, second)], law=law)
     assert close(got, want, m)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("n_plus,n_minus,m", POPULATIONS)
+def test_orthogonal_binned_pair_vanishes(n_plus, n_minus, m, law):
+    # binned signs are odd in their results, so settings a quarter turn apart average
+    # to exactly 0; the route meets that zero to round-off, which the relative
+    # tolerance of close() cannot see (its floor at M = 14 is 6e-18)
+    half = m // 2
+    first, second = PartyFunctional.binned_sign(), PartyFunctional.binned_sign("zero")
+    values = [first.value_given_plus_count(a, half) * second.value_given_plus_count(b, m - half)
+              for a, b in zip(plus_counts(m, range(half)), plus_counts(m, range(half, m)))]
+    for qa, qb in [(0, 1), (0, 3), (2, 1)]:
+        turns = (qa,) * half + (qb,) * (m - half)
+        assert exact_average(n_plus, n_minus, turns, law, values) == 0
+        got = expectation(ExperimentConfig(n_plus, n_minus, angles_of(turns)),
+                          [(half, first), (m - half, second)], law=law)
+        assert abs(got) <= 1e-15
 
 
 @pytest.mark.parametrize("n_plus,n_minus,m,law,kind,unit", BELL_CASES)

@@ -81,15 +81,6 @@ class TestExpectation:
         assert got == pytest.approx(brute_force_expectation(grouped_cfg, layout, probs),
                                     abs=1e-12)
 
-    def test_enumeration_path_with_scattered_angles(self):
-        rng = np.random.default_rng(17)
-        angles = tuple(rng.uniform(-np.pi, np.pi, 4))
-        cfg = ExperimentConfig(2, 2, angles)
-        layout = [(2, BINNED), (2, BINNED_ZERO)]
-        probs = oracle_all_probabilities(w_state(2, 2), angles)
-        assert expectation(cfg, layout) == pytest.approx(
-            brute_force_expectation(cfg, layout, probs), abs=1e-12)
-
     def test_product_fast_path_equals_enumeration(self):
         rng = np.random.default_rng(23)
         for n_plus, n_minus, m in [(2, 2, 4), (3, 3, 5), (3, 1, 4)]:
@@ -97,27 +88,25 @@ class TestExpectation:
             cfg = ExperimentConfig(n_plus, n_minus, angles)
             fast = expectation(cfg, [(m, PRODUCT)])
             slow = expectation(cfg, [(1, PRODUCT)] * m)  # still product route
-            # force the plus-count route through a layout with each
-            # product written as binned over one outcome (sign == identity)
-            enum = expectation(cfg, [(1, PartyFunctional.binned_sign())] * m)
             assert fast == pytest.approx(slow, abs=1e-12)
-            assert fast == pytest.approx(enum, abs=1e-11)
+            # force the plus-count route through a pair: one result binned (sign ==
+            # identity) against a product party of the rest at one angle
+            pair = ExperimentConfig(n_plus, n_minus, angles[:1] + angles[1:2] * (m - 1))
+            assert expectation(pair, [(m, PRODUCT)]) == pytest.approx(
+                expectation(pair, [(1, BINNED), (m - 1, PRODUCT)]), abs=1e-11)
 
-    def test_scattered_pair_averages_expand_into_products(self):
-        # twelve pair averages at 24 distinct angles: prod_i (eta_2i + eta_2i+1)/2
-        # is the mean of the 2**12 products that pick one result per pair
-        angles = tuple(np.random.default_rng(67).uniform(-np.pi, np.pi, 24))
-        layout = [(2, PartyFunctional.pair_average())] * 12
-        picks = [[angles[2 * i + b] for i, b in enumerate(bits)]
-                 for bits in itertools.product((0, 1), repeat=12)]
-        classical = math.fsum(classical_product_correlation(row) for row in picks) / len(picks)
+    def test_pair_averages_expand_into_products(self):
+        # two pair averages, one at each angle: (eta_1 + eta_2)(eta_3 + eta_4)/4 is the
+        # mean of the 4 products that pick one result per pair, each the product
+        # correlation of one spin at each angle
+        x, y = np.random.default_rng(67).uniform(-np.pi, np.pi, 2)
+        layout = [(2, PartyFunctional.pair_average())] * 2
         for n_plus, n_minus in [(12, 12), (14, 10)]:
-            cfg = ExperimentConfig(n_plus, n_minus, angles)
-            quantum = math.fsum(correlation_e(ExperimentConfig(n_plus, n_minus, tuple(row)))
-                                for row in picks) / len(picks)
+            cfg = ExperimentConfig(n_plus, n_minus, (x, x, y, y))
+            quantum = correlation_e(ExperimentConfig(n_plus, n_minus, (x, y)))
             assert expectation(cfg, layout) == pytest.approx(quantum, abs=1e-12)
-            assert expectation(cfg, layout, law="classical") == pytest.approx(classical,
-                                                                              abs=1e-12)
+            assert expectation(cfg, layout, law="classical") == pytest.approx(
+                classical_product_correlation((x, y)), abs=1e-12)
 
     @pytest.mark.parametrize("m", [700, 1030, 1100, 2100])
     def test_long_binned_party_against_binomial_quadrature(self, m):
@@ -131,11 +120,14 @@ class TestExpectation:
         assert got == pytest.approx(float(np.mean(sign * np.cos(lam - 0.5))), abs=1e-12)
 
     def test_classical_grouped_equals_enumeration(self):
-        layout = [(3, BINNED_ZERO), (2, PartyFunctional.pair_average()), (1, PRODUCT)]
-        angles = (0.4,) * 3 + (-1.1,) * 2 + (2.3,)
-        cfg = ExperimentConfig(3, 3, angles)
-        want = brute_force_expectation(cfg, layout, classical_all_probabilities(angles))
-        assert expectation(cfg, layout, law="classical") == pytest.approx(want, abs=1e-12)
+        # the binned party against a pair average and against a product party
+        for layout, angles in [
+            ([(3, BINNED_ZERO), (2, PartyFunctional.pair_average())], (0.4,) * 3 + (-1.1,) * 2),
+            ([(3, BINNED_ZERO), (3, PRODUCT)], (0.4,) * 3 + (2.3,) * 3),
+        ]:
+            cfg = ExperimentConfig(3, 3, angles)
+            want = brute_force_expectation(cfg, layout, classical_all_probabilities(angles))
+            assert expectation(cfg, layout, law="classical") == pytest.approx(want, abs=1e-12)
 
     def test_single_fock_state_at_large_m_is_independent_coins(self):
         # every spin of (0, N) measured: the results are independent fair coins, so
@@ -152,23 +144,41 @@ class TestExpectation:
         assert abs(expectation(cfg, layout) - 0.012036771403573699) <= 1e-14
 
     def test_coupling_rows_agree(self, monkeypatch):
-        # a budget small enough to couple the parties one Dicke row at a time
-        cfg = ExperimentConfig(4, 3, (0.2, 0.2, 0.2, -0.7, -0.7, 1.3, 1.3))
-        layout = [(3, BINNED), (2, PartyFunctional.pair_average()), (2, BINNED_ZERO)]
+        # a budget small enough to couple the parties three of their 8 Dicke rows at a
+        # time: a row takes (3 + 1)**2 elements
+        cfg = ExperimentConfig(4, 3, (0.2, 0.2, 0.2, -0.7, -0.7, -0.7, -0.7))
+        layout = [(3, BINNED), (4, BINNED_ZERO)]
         whole = expectation(cfg, layout)
         monkeypatch.setattr(exact, "_TREE_BUDGET", 54)
         assert expectation(cfg, layout) == pytest.approx(whole, abs=1e-15)
 
-    def test_party_of_several_angles_beyond_budget_raises(self, monkeypatch):
-        # the couplings of a party's angle groups are sized before any group is built
+    @pytest.mark.parametrize("layout", [
+        [(3, BINNED), (1, PRODUCT)],
+        [(2, BINNED), (1, PRODUCT), (1, PRODUCT)],
+        [(2, BINNED), (2, PRODUCT)],
+    ], ids=["binned-at-two-angles", "three-parties", "product-at-two-angles"])
+    def test_layout_beyond_a_bchsh_pair_rejected(self, layout, monkeypatch):
+        # checked before any party matrix is built, the uncached one included
         def build(*args):
-            raise AssertionError("a group was built")
+            raise AssertionError("a party matrix was built")
 
-        monkeypatch.setattr(exact, "_TREE_BUDGET", 100)
         monkeypatch.setattr(functional, "_count_states", build)
-        cfg = ExperimentConfig(4, 4, (0.1,) * 3 + (0.5,) * 3 + (0.9,) * 2)
-        with pytest.raises(ValueError, match="exceeds the table budget"):
-            expectation(cfg, [(6, BINNED), (2, PRODUCT)])
+        monkeypatch.setattr(functional, "_count_matrix", functional._count_matrix.__wrapped__)
+        cfg = ExperimentConfig(3, 3, (0.1, 0.1, 0.5, 0.9))
+        for law in ("exact", "classical"):
+            with pytest.raises(ValueError, match="at most two parties"):
+                expectation(cfg, layout, law=law)
+
+    @pytest.mark.parametrize("layout, angles", [
+        ([(4, BINNED_ZERO)], (0.3,) * 4),
+        ([(0, BINNED), (2, BINNED), (0, PRODUCT), (2, BINNED_ZERO)], (0.1, 0.1, 0.5, 0.5)),
+    ], ids=["one-party", "zero-count-parties"])
+    def test_one_party_and_folded_parties_evaluate(self, layout, angles):
+        cfg = ExperimentConfig(3, 3, angles)
+        probs = oracle_all_probabilities(w_state(3, 3), angles + (0.0, 0.0))
+        marginal = probs.reshape(-1, 2 ** cfg.m).sum(axis=0)
+        assert expectation(cfg, layout) == pytest.approx(
+            brute_force_expectation(cfg, layout, marginal), abs=1e-12)
 
     def test_layout_counts_must_match(self):
         cfg = ExperimentConfig(2, 2, (0.0, 0.1))
@@ -179,7 +189,8 @@ class TestExpectation:
         rng = np.random.default_rng(31)
         for _ in range(10):
             m = int(rng.integers(2, 7))
-            cfg = ExperimentConfig(4, 3, tuple(rng.uniform(-np.pi, np.pi, m)))
+            x, y = rng.uniform(-np.pi, np.pi, 2)
+            cfg = ExperimentConfig(4, 3, (x,) * (m - 1) + (y,))
             layout = [(m - 1, BINNED), (1, PRODUCT)]
             val = expectation(cfg, layout)
             assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12

@@ -71,6 +71,12 @@ class TestOutcomeSequence:
         with pytest.raises(ValueError):
             OutcomeSequence(bad)
 
+    @pytest.mark.parametrize("bad", [(1.5, -1), (1, -0.5), (math.nan,)])
+    def test_rejects_values_that_truncate_to_one(self, bad):
+        # (1.5, -1) was once stored as (1, -1)
+        with pytest.raises(ValueError, match="exactly"):
+            OutcomeSequence(bad)
+
 
 class TestPartyFunctional:
     def test_product_values(self):

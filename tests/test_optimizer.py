@@ -196,8 +196,10 @@ class TestMaximizeFree:
     @pytest.mark.parametrize("kwargs", [
         {"maxiter": -1}, {"maxiter": 2.0}, {"maxiter": True},
         {"restarts": True}, {"restarts": 2.0}, {"restarts": 0}, {"restarts": None},
+        {"seed": 1.5}, {"seed": True},
     ], ids=["negative-maxiter", "float-maxiter", "bool-maxiter",
-            "bool-restarts", "float-restarts", "no-restarts", "none-restarts"])
+            "bool-restarts", "float-restarts", "no-restarts", "none-restarts",
+            "float-seed", "bool-seed"])
     def test_integer_arguments_checked(self, kwargs, monkeypatch):
         # checked before any search: a bool restart count once ran one restart
         def search(*args, **kwargs):
@@ -206,6 +208,14 @@ class TestMaximizeFree:
         monkeypatch.setattr(optimizer, "bell_value", search)
         with pytest.raises(ValueError, match="must be an integer"):
             maximize_free(BellFunctionalSpec.double_bchsh((1, 1, 1, 1)), 2, 2, **kwargs)
+
+
+    def test_negative_seed_taken_modulo_2_64(self):
+        spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
+        runs = [maximize_free(spec, 2, 2, restarts=2, seed=seed, maxiter=0)
+                for seed in (-1, 2**64 - 1, -2)]
+        np.testing.assert_array_equal(runs[0].angles, runs[1].angles)
+        assert not np.array_equal(runs[0].angles, runs[2].angles)
 
 
 class TestScan:
@@ -233,6 +243,15 @@ class TestScan:
         chis = np.array([r[2] for r in rows])
         slope = np.polyfit(np.log(ns), np.log(chis), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, True])
+    def test_particle_number_must_be_an_integer(self, n):
+        # 4.5 once scanned n = 4
+        def spec_for_n(n):
+            raise AssertionError("a spec was built")
+
+        with pytest.raises(ValueError, match="must be an integer"):
+            scan_qmax_vs_n(spec_for_n, [n], mode="fan")
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):

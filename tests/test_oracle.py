@@ -65,6 +65,12 @@ class TestWState:
         with pytest.raises(ValueError):
             SpinStateVector(np.ones(4, dtype=complex), 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # returned NaN probabilities, where ExperimentConfig raises
+        with pytest.raises(ValueError, match="finite"):
+            oracle_all_probabilities(w_state(1, 1), [bad, 0.1])
+
 
 class TestTripletProbabilities:
     def test_equal_angles_forbid_anticorrelation(self):

@@ -154,6 +154,12 @@ class TestPosterior:
         with pytest.raises(ValueError, match="outcomes"):
             phase_posterior([0.1, 0.2], [1, eta])
 
+    @pytest.mark.parametrize("eta", [1.5, -1.5, 0.5])
+    def test_outcome_that_truncates_to_plus_minus_one_rejected(self, eta):
+        # 1.5 was once read as +1 by int()
+        with pytest.raises(ValueError, match="outcomes"):
+            phase_posterior([0.1], [eta])
+
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_emergence_statistics_match_stepwise_product(self, seed):
         angles, histories = emergence_histories(seed)
@@ -270,6 +276,16 @@ class TestSampling:
         cfg, count, mode, digests = GOLDEN[name]
         rows = sample_sequences(cfg, count, seed, mode=mode)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == digests[seed]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": True}, {"count": 2.5}, {"count": True}, {"count": 0},
+    ], ids=["float-seed", "bool-seed", "float-count", "bool-count", "no-count"])
+    def test_integer_arguments_checked(self, kwargs):
+        # seed=1.5 once drew a stream matching neither seed 1 nor seed 2, and a
+        # float or bool count raised TypeError
+        args = {"count": 2, "seed": 1} | kwargs
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_sequences(ExperimentConfig(2, 2, (0.1, 0.5)), args["count"], args["seed"])
 
     def test_seed_taken_modulo_2_64(self):
         cfg = ExperimentConfig(3, 3, (0.1, 0.5, 0.5, 1.0, 1.0, 1.0))
