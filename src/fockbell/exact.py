@@ -67,11 +67,12 @@ def _others(factors: np.ndarray) -> np.ndarray:
     return before * after
 
 
-def _binomials(m: int) -> list[int]:
-    """C(m, k) for k = 0..m as exact integers, each entry from the one before."""
+def _binomials(n: int, count: int | None = None) -> list[int]:
+    """C(n, k) for k = 0..count (default n) as exact integers, each entry from the one
+    before."""
     row = [1]
-    for k in range(m):
-        row.append(row[-1] * (m - k) // (k + 1))
+    for k in range(n if count is None else count):
+        row.append(row[-1] * (n - k) // (k + 1))
     return row
 
 
@@ -104,7 +105,7 @@ class _Law:
     of a product of cosines (:meth:`cosine_products`), a trigonometric polynomial
     of degree at most M, which the M + 1 equispaced nodes ``lam`` on [-pi, pi)
     integrate exactly.  Plus-count parties take the weights ``dicke`` of the Dicke
-    states themselves.
+    states themselves, from the ``populations`` as integers.
     """
 
     up: np.ndarray
@@ -112,6 +113,7 @@ class _Law:
     offset: float        # log r_s = up[s] + down[M - s] + offset
     moment0: float       # r_(M/2) for even M, 0 for odd M
     lam: np.ndarray      # the M + 1 lambda nodes
+    populations: tuple[int, int] | None  # (n_plus, n_minus); None for the classical law
 
     def __post_init__(self) -> None:
         # instances are cached and shared, so their arrays must stay as built
@@ -126,14 +128,25 @@ class _Law:
         up, down, offset = (_population_logs(n_plus, n_minus, m) if law == "exact"
                             else (np.zeros(m + 1), np.zeros(m + 1), 0.0))
         moment0 = 0.0 if m % 2 else float(np.exp(up[m // 2] + down[m // 2] + offset))
-        return cls(up, down, offset, moment0, -np.pi + 2.0 * np.pi * np.arange(m + 1) / (m + 1))
+        return cls(up, down, offset, moment0, -np.pi + 2.0 * np.pi * np.arange(m + 1) / (m + 1),
+                   (int(n_plus), int(n_minus)) if law == "exact" else None)
 
     @cached_property
     def dicke(self) -> np.ndarray:
-        """p_a = C(M, a) r_a / 2**M, a = 0..M: the weights of the Dicke states."""
+        """p_a = C(M, a) r_a / 2**M, a = 0..M: the weights of the Dicke states, which are
+        C(n_plus, a) C(n_minus, M - a) / C(N, M) for the quantum law and C(M, a) / 2**M
+        for the classical one.  Each is one correctly rounded division of integers; the
+        exponential of the logs would lose digits to their size, 2.8e-14 at
+        (7, 500), M = 80."""
         m = self.lam.size - 1
-        binomials = np.array([math.log(b) for b in _binomials(m)]) - m * math.log(2.0)
-        out = np.exp(self.up + self.down[::-1] + self.offset + binomials)
+        if self.populations is None:
+            numerators, whole = _binomials(m), 1 << m
+        else:
+            n_plus, n_minus = self.populations
+            plus, minus = _binomials(n_plus, m), _binomials(n_minus, m)
+            numerators = [plus[a] * minus[m - a] for a in range(m + 1)]
+            whole = math.comb(n_plus + n_minus, m)
+        out = np.array([x / whole for x in numerators])
         out.flags.writeable = False
         return out
 

@@ -9,15 +9,17 @@ the law of the measured spins from ``exact._Law.for_law``:
 
 * a pure-product fast path: the law's zeroth moment times one lambda mean of
   a cosine product,
-* a plus-count route on Dicke states, for the layouts of a BCHSH pair: at most
-  two parties, each reading all of its spins at one angle.  The M measured
-  spins of a double Fock state are in a mixture of Dicke states |M, a> with
-  the law's weights p_a >= 0, and a party is the matrix R = sum_k f(k) P_k
-  over its own Dicke states, P_k the projector on k of its results +1 (see
-  :func:`_party`).  The two parties couple through the stretched
-  Clebsch-Gordan weights, and the value is sum_a p_a <M, a| R_A (x) R_B |M, a>.
-  Every step is a contraction, so the error stays at round-off for any M and
-  any populations, and nothing grows with N.
+* a cosine series for the layouts of a BCHSH pair: at most two parties, each
+  reading all of its spins at one angle.  The M measured spins of a double
+  Fock state are in a mixture of Dicke states |M, a> with the law's weights
+  p_a >= 0, which is invariant under rotations about z, so the pair's average
+  depends on its angles only through their difference chi:
+  T(chi) = sum_(d = 0..s) c_d cos(d chi), s the smaller party's count.  The
+  coefficients c_d do not depend on the angles; each is a contraction of the
+  weights p_a, the stretched Clebsch-Gordan weights and one diagonal of each
+  party's matrix sum_k f(k) P_k over its own Dicke states (see
+  :func:`_series`), so the error stays at round-off for any M and any
+  populations.  They are built once per pair, law and populations.
 
 :func:`expectation` takes one angle per measurement; any other layout with a
 plus-count party raises ValueError.  :func:`bell_value` takes a Bell quantity,
@@ -26,10 +28,10 @@ reads all of its spins at one setting's angle.  Where every party keeps the
 product of its results, each setting's factor is a cosine power in lambda
 alone and the whole quantity is one lambda mean of a product of blocks; a
 ``bchsh`` quantity with a plus-count party is the signed sum of its four
-averages.  Every such quantity is a trigonometric polynomial in the setting
-angles, and ``bell_value(..., slopes=True)`` gives with it, from one pass, its
-exact derivative by each of them, which the free-angle optimizer climbs; a
-plus-count party's matrix moves with its angle as dR/dphi = -i (J R - R J).
+averages T(x_i - y_j).  Every such quantity is a trigonometric polynomial in
+the setting angles, and ``bell_value(..., slopes=True)`` gives with it, from
+one pass, its exact derivative by each of them, which the free-angle optimizer
+climbs; a pair's average moves as dT/dchi = -sum_d d c_d sin(d chi).
 
 The tests hold these against the full outcome table of
 ``exact.all_sequence_probabilities``, the state-vector oracle, exact integer
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
+from .model import BellFunctionalSpec, ExperimentConfig, PartyFunctional, _whole
 
 __all__ = ["expectation", "bell_value", "semi_mesoscopic_value"]
 
@@ -56,9 +58,7 @@ _MEMBERS = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
 
 def _check_layout(config: ExperimentConfig, layout):
     """Validated layout with zero-count parties folded into a constant factor."""
-    layout = [(int(c), f) for c, f in layout]
-    if any(c < 0 for c, _ in layout):
-        raise ValueError("party counts must be non-negative")
+    layout = [(_whole("party count", c, least=0), f) for c, f in layout]
     if sum(c for c, _ in layout) != config.m:
         raise ValueError("party counts must add up to the measurement count")
     constant = 1.0
@@ -86,75 +86,50 @@ def _count_states(c: int) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=16)
-def _count_matrix(c: int, func: PartyFunctional) -> np.ndarray:
-    """sum_k f(k) P_k for c results at angle 0, P_k the projector on k results +1."""
-    q = _count_states(c)
-    out = (q * func.values_table(c)) @ q.T
-    out.flags.writeable = False
-    return out
+def _diagonals(count: int, func: PartyFunctional, s: int) -> list:
+    """Diagonals d = 0..s of K = Q diag(f) Q^T, sum_k f(k) P_k for ``count`` results at
+    angle 0 over their Dicke states: K[i, i + d], one row-wise dot product each, so
+    that K is never formed whole."""
+    q = _count_states(count)
+    qf = q * func.values_table(count)
+    return [np.einsum("ik,ik->i", qf[:count + 1 - d], q[d:]) for d in range(s + 1)]
 
 
-def _rotated(r: np.ndarray, phi: float) -> np.ndarray:
-    """D r D^H with D = diag(exp(-i j phi)): the matrix r of angle 0 moved to ``phi``."""
-    d = np.exp(-1j * phi * np.arange(r.shape[-1]))
-    return d[:, None] * r * d.conj()
-
-
-def _slope(r: np.ndarray) -> np.ndarray:
-    """d r / d phi of a rotated matrix, -i (J r - r J) with J = diag(j)."""
-    j = np.arange(r.shape[-1])
-    return -1j * (j[:, None] - j) * r
+def _stretched(small: int, large: int) -> np.ndarray:
+    """Stretched Clebsch-Gordan weights w[i, j] = sqrt(C(small, j) C(large, i) /
+    C(small + large, i + j)) of |small + large, i + j> in |small, j>|large, i>.  Each
+    ratio is one correctly rounded division of integers."""
+    bs, bl, b = map(exact._binomials, (small, large, small + large))
+    return np.sqrt([[bs[j] * bl[i] / b[i + j] for j in range(small + 1)]
+                    for i in range(large + 1)])
 
 
 @lru_cache(maxsize=64)
-def _stretched(small: int, large: int):
-    """Stretched Clebsch-Gordan weights w[a, j] = sqrt(C(small, j) C(large, a - j) /
-    C(small + large, a)) of |small + large, a> in |small, j>|large, a - j>, 0 where
-    a - j is out of range, and the index a - j clipped into range.  Each ratio is
-    one correctly rounded division of integers."""
-    bs, bl, b = map(exact._binomials, (small, large, small + large))
-    ratios = [[bs[j] * bl[a - j] / b[a] if 0 <= a - j <= large else 0.0
-               for j in range(small + 1)] for a in range(small + large + 1)]
-    index = np.clip(np.arange(small + large + 1)[:, None] - np.arange(small + 1), 0, large)
-    w = np.sqrt(ratios)
-    w.flags.writeable = index.flags.writeable = False
-    return w, index
+def _series(law: str, n_plus: int, n_minus: int, parties) -> np.ndarray:
+    """c_d, d = 0..s, of a BCHSH pair's average sum_d c_d cos(d chi), chi the
+    difference of the parties' angles and s the smaller count; one party alone is c_0.
 
-
-def _couple(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The matrices of a BCHSH pair of parties over their Dicke states coupled onto
-    the Dicke states of all their spins, on the diagonal alone:
-    out[a] = sum_(j, k) w[a, j] w[a, k] x[j, k] y[a - j, a - k].  The sum runs over
-    the smaller set, a chunk of rows a at a time within the table budget; a row
-    takes (small + 1)**2 elements."""
-    if x.shape[-1] > y.shape[-1]:
-        x, y = y, x
-    small, large = x.shape[-1] - 1, y.shape[-1] - 1
-    w, index = _stretched(small, large)
-    flat = y.reshape(-1)
-    step = max(1, exact._TREE_BUDGET // (small + 1) ** 2)
-    parts = []
-    for start in range(0, small + large + 1, step):
-        rows = slice(start, start + step)
-        block = flat[index[rows, :, None] * (large + 1) + index[rows, None, :]]
-        parts.append(np.einsum("aj,ajk,ak->a", w[rows], block * x, w[rows]))
-    return np.concatenate(parts)
-
-
-def _party(phi: float, count: int, func: PartyFunctional) -> np.ndarray:
-    """R = sum_k f(k) P_k over the Dicke states of a party's ``count`` spins, P_k
-    the projector on k results +1.  A party of a BCHSH pair reads all of its spins
-    at the one angle ``phi``, so every P_k is rank one."""
-    return _rotated(_count_matrix(count, func), phi)
-
-
-def _average(weights: np.ndarray, parties) -> float:
-    """sum_a p_a <M, a| R_A (x) R_B |M, a> for a BCHSH pair of parties, or
-    sum_a p_a <M, a| R_A |M, a> for one party alone."""
+    The measured spins are in the Dicke mixture sum_a p_a |M, a><M, a|, and a party
+    at angle phi is R = D K D^H, D = diag(exp(-i j phi)) over its own Dicke states.
+    Coupled through the stretched weights w, the entry K_A[j - d, j] of the smaller
+    party meets K_B[i, i + d] of the other in the row a = i + j with the phase
+    exp(-i d chi), so
+    c_d = 2 sum_(i, j) p_(i + j) w[i, j] w[i + d, j - d] K_A[j - d, j] K_B[i, i + d]
+    for d > 0, c_0 without the 2.  Every term is a contraction, so the error stays at
+    round-off for any M and any populations.
+    """
     if len(parties) == 1:
-        return float(weights @ parties[0].diagonal().real)
-    return float(weights @ _couple(*parties).real)
+        parties += ((0, PartyFunctional.product()),)
+    (small, f_small), (large, f_large) = sorted(parties, key=lambda party: party[0])
+    p = exact._Law.for_law(law, n_plus, n_minus, small + large).dicke
+    w = _stretched(small, large)
+    pw = np.lib.stride_tricks.sliding_window_view(p, small + 1) * w  # p_(i + j) w[i, j]
+    xs, ys = _diagonals(small, f_small, small), _diagonals(large, f_large, small)
+    out = np.array([ys[d] @ (pw[:large + 1 - d, d:] * w[d:, :small + 1 - d]) @ xs[d]
+                    for d in range(small + 1)])
+    out[1:] *= 2.0  # the offsets d and -d
+    out.flags.writeable = False
+    return out
 
 
 def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> float:
@@ -174,11 +149,10 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
     All-product layouts take one product-correlation integral, at any angles.
     A layout with any other party must be a BCHSH pair: at most two parties
     once zero-count parties are folded into a constant, each reading all of its
-    measurements at one angle.  It takes each party's matrix over its own Dicke
-    states (see :func:`_party`) and the mixture of Dicke states of the measured
-    spins: every step is a contraction, so the error stays at round-off for any
-    M and any populations.  Any other layout raises ValueError before any
-    matrix is built.
+    measurements at one angle.  Its average is sum_d c_d cos(d chi), chi the
+    first party's angle less the second's, over the coefficients of
+    :func:`_series`, cached per pair, law and populations; one party alone is
+    c_0.  Any other layout raises ValueError before any coefficient is built.
 
     The result always lies in [-1, 1] because every party value does.
     """
@@ -199,9 +173,9 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
                               for s, (c, _) in zip(starts, layout)):
         raise ValueError("a layout with a plus-count party takes at most two parties, "
                          "each reading all of its results at one angle")
-    weights = exact._Law.for_law(law, config.n_plus, config.n_minus, config.m).dicke
-    parties = [_party(config.angles[s], c, f) for s, (c, f) in zip(starts, layout)]
-    return constant * _average(weights, parties)
+    series = _series(law, config.n_plus, config.n_minus, tuple(layout))
+    chi = config.angles[0] - config.angles[-1]
+    return constant * float(series @ np.cos(np.arange(series.size) * chi))
 
 
 @lru_cache(maxsize=64)
@@ -293,7 +267,8 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     one angle is one cosine power, and the value is the law's exact moment
     times one lambda mean, so identically vanishing products give 0.0.  A
     ``bchsh`` layout with any other party takes its four averages T from
-    :func:`expectation`.  The value is the same float with and without
+    :func:`expectation`, each a cosine series in x_i - y_j, and their slopes
+    from the same coefficients.  The value is the same float with and without
     ``slopes``, which raise ValueError where the slopes of product parties'
     cosine powers would exceed a quarter of ``exact._TREE_BUDGET``.
     """
@@ -323,8 +298,12 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
                             spec.party_layout, law=law)
             for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
         if slopes:
-            grad = _plus_count_slopes(spec, rows[:, 0],
-                                      exact._Law.for_law(law, n_plus, n_minus, m).dicke)
+            # dT(x_i, y_j)/dx_i = -dT/dy_j = -sum_d d c_d sin(d (x_i - y_j)), signed per pair
+            series = _series(law, int(n_plus), int(n_minus), spec.party_layout)
+            d = np.arange(series.size)
+            chi = (rows[:2] - rows[2:, 0]).reshape(-1, 1)  # pair 2i + j
+            signed = (_CHSH * (np.sin(chi * d) @ (d * series))).reshape(2, 2)
+            grad = np.concatenate([-signed.sum(axis=1), signed.sum(axis=0)])
     else:
         kernel = exact._Law.for_law(law, n_plus, n_minus, m)
         f, by_angle = (kernel.cosine_products(rows, powers, slopes=True) if slopes
@@ -336,21 +315,6 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
             others = exact._others(values) * (prefactor * kernel.moment0 / f.shape[1])
             grad = np.einsum("rk,rk->r", partners * np.repeat(others, 4, axis=0), by_angle)
     return (value, grad) if slopes else value
-
-
-def _plus_count_slopes(spec, angles, weights) -> np.ndarray:
-    """d bell_value / d angle for each slot of a bchsh layout with a plus-count
-    party, ``angles`` the slots' angles.
-
-    The value B(R_x, R_y + R_y') + B(R_x', R_y - R_y') is linear in each party
-    matrix, B the coupling of :func:`_average` with the Dicke ``weights``, and a
-    setting is one angle, so its matrix moves as dR/dphi = -i (J R - R J) and
-    its slope couples that with its partner.
-    """
-    parties = [_party(phi, *spec.party_layout[s // 2]) for s, phi in enumerate(angles)]
-    x, xp, y, yp = parties
-    return np.array([_average(weights, [_slope(r), partner])
-                     for r, partner in zip(parties, (y + yp, y - yp, x + xp, x - xp))])
 
 
 def semi_mesoscopic_value(n: int, angles, *, law: str = "exact") -> float:

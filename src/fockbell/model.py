@@ -201,7 +201,7 @@ class BellFunctionalSpec:
     def __post_init__(self) -> None:
         if self.form not in BELL_FORMS:
             raise ValueError(f"unknown Bell form {self.form!r}")
-        layout = tuple((int(c), f) for c, f in self.party_layout)
+        layout = tuple((_whole("party count", c, least=0), f) for c, f in self.party_layout)
         expected = {"bchsh": 2, "double_bchsh": 4, "triple_bchsh": 6}[self.form]
         if len(layout) != expected:
             raise ValueError(f"{self.form} takes {expected} parties, got {len(layout)}")

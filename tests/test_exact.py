@@ -538,12 +538,14 @@ class TestAnyPopulation:
                                    rtol=0, atol=1e-14)
 
     def test_dicke_weights_take_exact_binomials(self):
-        # the running integer row gives C(M, a) bit for bit
-        for n_plus, n_minus, m in [(3, 4, 7), (40, 25, 60), (700, 800, 1500)]:
-            law = _Law.for_law("exact", n_plus, n_minus, m)
-            logs = np.array([math.log(math.comb(m, a)) for a in range(m + 1)])
-            want = np.exp(law.up + law.down[::-1] + law.offset + (logs - m * math.log(2.0)))
-            assert np.array_equal(law.dicke, want)
+        # each weight is its exact hypergeometric ratio, or C(M, a) / 2**M for the
+        # classical law, rounded once: the running integer rows give every binomial
+        for n_plus, n_minus, m in [(3, 4, 7), (40, 25, 60), (700, 800, 1500), (7, 500, 80)]:
+            whole = math.comb(n_plus + n_minus, m)
+            want = [math.comb(n_plus, a) * math.comb(n_minus, m - a) / whole for a in range(m + 1)]
+            assert _Law.for_law("exact", n_plus, n_minus, m).dicke.tolist() == want
+            classical = [math.comb(m, a) / 2 ** m for a in range(m + 1)]
+            assert _Law.for_law("classical", n_plus, n_minus, m).dicke.tolist() == classical
 
     def test_memory_does_not_grow_with_m_squared(self):
         # N = M = 6000 takes (M + 1)**2 cosines, 288 MB at once; in slices the

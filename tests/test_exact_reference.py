@@ -311,17 +311,24 @@ def test_count_pair_reference_matches_table():
             assert count_pair_reference(n_plus, n_minus, (ca, qa, first), (cb, qb, second)) == want
 
 
-@pytest.mark.parametrize("n_plus,n_minus,count,value", [
+PAST_THE_TABLE = [
     (5, 200, 50, 4.2404938292898937e-4),
     (7, 500, 40, 4.687420891869616e-3),
     (0, 200, 30, 2.086997676321034e-2),
-])
-def test_plus_count_past_the_table(n_plus, n_minus, count, value):
-    # two binned parties at angles 0 and pi/2, M far past the 2**M table, at very
-    # unequal populations
+]
+
+
+@pytest.mark.parametrize("n_plus,n_minus,count,value,turns", [
+    pytest.param(*case, turns, id="-".join(map(str, case + turns * (turns != (0, 1)))))
+    for turns in [(0, 1), (0, 2), (1, 3)] for case in PAST_THE_TABLE])
+def test_plus_count_past_the_table(n_plus, n_minus, count, value, turns):
+    # two binned parties at the quarter turns ``turns``, M far past the 2**M table, at
+    # very unequal populations; ``value`` is the average at angles 0 and pi/2
     f = PartyFunctional.binned_sign()
-    want = count_pair_reference(n_plus, n_minus, (count, 0, f), (count, 1, f))
-    assert float(want) == value
-    got = expectation(ExperimentConfig(n_plus, n_minus, (0.0,) * count + (math.pi / 2,) * count),
-                      [(count, f), (count, f)])
-    assert abs(got - value) <= 1e-14
+    qa, qb = turns
+    want = float(count_pair_reference(n_plus, n_minus, (count, qa, f), (count, qb, f)))
+    if turns == (0, 1):
+        assert want == value
+    got = expectation(ExperimentConfig(n_plus, n_minus, (qa * math.pi / 2,) * count
+                                       + (qb * math.pi / 2,) * count), [(count, f), (count, f)])
+    assert abs(got - want) <= 1e-14

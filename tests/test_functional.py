@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from fockbell import exact, functional
+from fockbell import exact, functional, optimizer
 from fockbell.exact import (
     classical_all_probabilities,
     classical_product_correlation,
@@ -143,27 +143,18 @@ class TestExpectation:
         assert float(want) == 0.012036771403573699
         assert abs(expectation(cfg, layout) - 0.012036771403573699) <= 1e-14
 
-    def test_coupling_rows_agree(self, monkeypatch):
-        # a budget small enough to couple the parties three of their 8 Dicke rows at a
-        # time: a row takes (3 + 1)**2 elements
-        cfg = ExperimentConfig(4, 3, (0.2, 0.2, 0.2, -0.7, -0.7, -0.7, -0.7))
-        layout = [(3, BINNED), (4, BINNED_ZERO)]
-        whole = expectation(cfg, layout)
-        monkeypatch.setattr(exact, "_TREE_BUDGET", 54)
-        assert expectation(cfg, layout) == pytest.approx(whole, abs=1e-15)
-
     @pytest.mark.parametrize("layout", [
         [(3, BINNED), (1, PRODUCT)],
         [(2, BINNED), (1, PRODUCT), (1, PRODUCT)],
         [(2, BINNED), (2, PRODUCT)],
     ], ids=["binned-at-two-angles", "three-parties", "product-at-two-angles"])
     def test_layout_beyond_a_bchsh_pair_rejected(self, layout, monkeypatch):
-        # checked before any party matrix is built, the uncached one included
+        # checked before any coefficient is built, a cached one included
         def build(*args):
-            raise AssertionError("a party matrix was built")
+            raise AssertionError("a coefficient was built")
 
         monkeypatch.setattr(functional, "_count_states", build)
-        monkeypatch.setattr(functional, "_count_matrix", functional._count_matrix.__wrapped__)
+        monkeypatch.setattr(functional, "_series", functional._series.__wrapped__)
         cfg = ExperimentConfig(3, 3, (0.1, 0.1, 0.5, 0.9))
         for law in ("exact", "classical"):
             with pytest.raises(ValueError, match="at most two parties"):
@@ -179,6 +170,27 @@ class TestExpectation:
         marginal = probs.reshape(-1, 2 ** cfg.m).sum(axis=0)
         assert expectation(cfg, layout) == pytest.approx(
             brute_force_expectation(cfg, layout, marginal), abs=1e-12)
+
+    @pytest.mark.parametrize("counts", [(1.7, 1.2), (True, True), (2.5, 2)])
+    def test_party_counts_are_checked_not_truncated(self, counts):
+        cfg = ExperimentConfig(1, 1, (0.3, 0.3))
+        with pytest.raises(ValueError, match="party count must be an integer"):
+            expectation(cfg, [(c, PRODUCT) for c in counts])
+        with pytest.raises(ValueError, match="party count must be an integer"):
+            BellFunctionalSpec.bchsh(*counts)
+
+    def test_series_is_keyed_on_python_ints(self):
+        # numpy counts are checked into Python ints before the build, where C(80, 40)
+        # would wrap in int64, and both spellings share one coefficient vector
+        cfg = ExperimentConfig(40, 40, (0.2,) * 40 + (-0.9,) * 40)
+        layout = [(40, BINNED), (40, BINNED)]
+        functional._series.cache_clear()
+        want = expectation(cfg, layout)
+        functional._series.cache_clear()
+        assert expectation(cfg, [(np.int64(c), f) for c, f in layout]) == want
+        assert expectation(cfg, layout) == want
+        info = functional._series.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_layout_counts_must_match(self):
         cfg = ExperimentConfig(2, 2, (0.0, 0.1))
@@ -430,6 +442,13 @@ class TestBellGradient:
                                    central_differences(spec, angles, n, n, law),
                                    rtol=0, atol=1e-7)
 
+    def test_free_search_builds_the_series_once(self):
+        # every value and slope of every restart reads one cached coefficient vector
+        spec = BellFunctionalSpec.bchsh(7, 7, BINNED, BINNED)
+        functional._series.cache_clear()
+        result = optimizer.maximize_free(spec, 7, 7, restarts=2, seed=0)
+        assert result.q_max > 0
+        assert functional._series.cache_info().misses == 1
 
     @pytest.mark.parametrize("spec, law", SLOPE_CASES)
     def test_value_is_the_same_float_with_slopes(self, spec, law):
