@@ -127,9 +127,12 @@ class _Law:
             raise ValueError(f"unknown probability law {law!r}")
         up, down, offset = (_population_logs(n_plus, n_minus, m) if law == "exact"
                             else (np.zeros(m + 1), np.zeros(m + 1), 0.0))
-        moment0 = 0.0 if m % 2 else float(np.exp(up[m // 2] + down[m // 2] + offset))
+        # r_(M/2) = 2**M C(a, M/2) C(b, M/2) / (C(a + b, M) C(M, M/2)), one rounding
+        h, (a, b), comb = m // 2, (int(n_plus), int(n_minus)), math.comb
+        moment0 = (0.0 if m % 2 else 1.0 if law == "classical" else
+                   (comb(a, h) * comb(b, h) << m) / (comb(a + b, m) * comb(m, h)))
         return cls(up, down, offset, moment0, -np.pi + 2.0 * np.pi * np.arange(m + 1) / (m + 1),
-                   (int(n_plus), int(n_minus)) if law == "exact" else None)
+                   (a, b) if law == "exact" else None)
 
     @cached_property
     def dicke(self) -> np.ndarray:

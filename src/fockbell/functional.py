@@ -180,39 +180,37 @@ def expectation(config: ExperimentConfig, layout, *, law: str = "exact") -> floa
 
 @lru_cache(maxsize=64)
 def _slot_layout(spec: BellFunctionalSpec):
-    """Per setting slot (2p and 2p + 1 set party p) its party's measurement count, the
-    mask of those in a row of the largest count, and whether every party is a product."""
+    """Per setting slot (2p and 2p + 1 set party p) its party's measurement count, and
+    whether every party is a product."""
     counts = np.array([c for c, _ in spec.party_layout for _ in range(2)])
-    mask = np.arange(max(counts)) < counts[:, None]
-    counts.flags.writeable = mask.flags.writeable = False
-    return counts, mask, all(f.kind == "product" for _, f in spec.party_layout)
+    counts.flags.writeable = False
+    return counts, all(f.kind == "product" for _, f in spec.party_layout)
 
 
 def _setting_rows(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int, law: str):
-    """Validated settings of :func:`bell_value`: slot s in row s of (R, 1) arrays of
-    its one angle and its party's measurement count.  Raises ValueError for a slot
-    that is not one angle."""
-    n, m, blocks = n_plus + n_minus, spec.m, spec.block_count
+    """Validated settings of :func:`bell_value` as a (B, slots) array, one row per
+    angle assignment, and whether ``angles`` was one assignment.  Raises ValueError
+    for a slot that is not one angle."""
+    n, m, slots = n_plus + n_minus, spec.m, 4 * spec.block_count
     if not all(float(p).is_integer() and p >= 0 for p in (n_plus, n_minus)) or m > n:
         raise ValueError(f"populations ({n_plus}, {n_minus}) cannot supply {m} measurements")
-    if len(angles) != 4 * blocks:
-        raise ValueError(f"{spec.form} takes {4 * blocks} setting slots")
-    # a 1-D array, as the optimizer passes, skips the per-slot loop, which doubles the cost
-    if not (isinstance(angles, np.ndarray) and angles.ndim == 1) and any(
-            np.ndim(a) != 0 for a in angles):
+    # an array, as the optimizer passes, skips the per-slot loop, which doubles the cost
+    if not isinstance(angles, np.ndarray) and any(np.ndim(a) != 0 for a in angles):
         raise ValueError(f"a setting is one angle per slot, got {angles}")
-    counts, _, product = _slot_layout(spec)
-    rows, powers = np.array(angles, dtype=float)[:, None], counts[:, None]
+    rows = np.array(angles, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != slots:
+        raise ValueError(f"{spec.form} takes {slots} setting slots, one angle per slot, or "
+                         f"rows of them, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError(f"setting angles must be finite, got {angles}")
     if law not in ("exact", "classical", "gaussian"):
         raise ValueError(f"unknown probability law {law!r}")
-    if law == "gaussian" and (not product or n_plus != n_minus or m != n):
+    if law == "gaussian" and (not _slot_layout(spec)[1] or n_plus != n_minus or m != n):
         raise ValueError("gaussian law needs product functionals, equal populations and "
                          f"every particle measured, got ({n_plus}, {n_minus}), M = {m}")
     if spec.form != "bchsh" and m != n:
         raise ValueError(f"{spec.form} requires every particle measured (M = N = {n})")
-    return rows, powers
+    return np.atleast_2d(rows), rows.ndim == 1
 
 
 def _blocks(f: np.ndarray):
@@ -226,16 +224,19 @@ def _blocks(f: np.ndarray):
     return x * partners[0::4] + xp * partners[1::4], partners
 
 
-def _gaussian_terms(rows: np.ndarray, m: int, blocks: int):
-    """The signed cross terms of the Gaussian law, (4,) * blocks, and their angle sums.
+def _gaussian_terms(rows: np.ndarray, counts: np.ndarray, m: int, blocks: int):
+    """The signed cross terms of the Gaussian law, (B,) + (4,) * blocks, and their
+    angle sums, from the (B, slots) angles ``rows`` of ``counts`` measurements each.
 
     The pair (x_i, y_j) of a block adds x_i + y_j to the sums of a cross term's
     angles (t1) and squares (t2), with the sign _CHSH[2i + j]; the term is
     exp(-(t2 - t1**2 / M) / 2).
     """
-    s1, s2 = (v.sum(axis=1).reshape(blocks, 2, 2) for v in (rows, rows * rows))
-    t1, t2 = (sum(np.ix_(*(s[:, 0, :, None] + s[:, 1, None, :]).reshape(blocks, 4)))
-              for s in (s1, s2))
+    batch = rows.shape[0]
+    s = (counts * np.stack([rows, rows * rows])).reshape(2, batch, blocks, 2, 2)
+    pairs = (s[..., 0, :, None] + s[..., 1, None, :]).reshape(2, batch, blocks, 4)
+    t1, t2 = sum(pairs[:, :, b].reshape((2, batch) + (1,) * b + (4,) + (1,) * (blocks - 1 - b))
+                 for b in range(blocks))
     sign = math.prod(np.ix_(*[_CHSH] * blocks))
     return sign * np.exp(-0.5 * (t2 - t1 * t1 / m)), t1
 
@@ -248,10 +249,12 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     ----------
     spec : BellFunctionalSpec
         Inequality form and party layout.
-    angles : sequence
+    angles : sequence or array
         Four setting slots (x, x', y, y') per block: (a, a', b, b') for
         ``bchsh``, eight for ``double_bchsh``, twelve for ``triple_bchsh``;
-        each one angle, at which every measurement of its party is made.
+        each one angle, at which every measurement of its party is made.  A
+        (B, slots) array holds B assignments, and gives (B,) values and
+        (B, slots) slopes, row b those of assignment b alone.
     n_plus, n_minus : int
         Populations; ``n_minus`` defaults to ``n_plus``.
     law : {"exact", "classical", "gaussian"}
@@ -274,46 +277,55 @@ def bell_value(spec: BellFunctionalSpec, angles, n_plus: int, n_minus: int | Non
     """
     if n_minus is None:
         n_minus = n_plus
-    rows, powers = _setting_rows(spec, angles, n_plus, n_minus, law)
-    _, mask, product = _slot_layout(spec)
-    m, blocks = spec.m, spec.block_count
+    rows, single = _setting_rows(spec, angles, n_plus, n_minus, law)
+    counts, product = _slot_layout(spec)
+    (batch, slots), m, blocks = rows.shape, spec.m, spec.block_count
     prefactor = 2.0 ** (1 - blocks)
     if law == "gaussian":
-        full = np.where(mask, rows, 0.0)  # one angle per measurement
-        terms, t1 = _gaussian_terms(full, m, blocks)
-        value = prefactor * float(terms.sum())
+        terms, t1 = _gaussian_terms(rows, counts, m, blocks)
+        value = prefactor * terms.reshape(batch, -1).sum(axis=1)
         if slopes:
             # d term / d phi = term (t1 / M - phi) for every angle phi of the term
-            axes = [tuple(a for a in range(blocks) if a != b) for b in range(blocks)]
+            axes = [tuple(a + 1 for a in range(blocks) if a != b) for b in range(blocks)]
             by_pair = np.array([[(terms * t1).sum(axis=ax), terms.sum(axis=ax)] for ax in axes])
             # the setting pairs (x_i, y_j) at index 2i + j that contain x, x', y, y'
-            sums = np.einsum("kp,bvp->bkv", _MEMBERS, by_pair).reshape(4 * blocks, 2)
-            grad = np.where(mask, prefactor * (sums[:, :1] / m - sums[:, 1:] * full),
-                            0.0).sum(axis=1)
+            sums = np.einsum("kp,bvrp->rbkv", _MEMBERS, by_pair).reshape(batch, slots, 2)
+            grad = counts * prefactor * (sums[..., 0] / m - sums[..., 1] * rows)
     elif not product:
-        # a plus-count party, so bchsh: the signed sum of the averages T(x_i, y_j)
-        settings = [(phi,) * c for phi, c in zip(rows[:, 0], powers[:, 0])]
-        value = math.fsum(
-            s * expectation(ExperimentConfig(n_plus, n_minus, settings[i] + settings[2 + j]),
+        # a plus-count party, so bchsh: the signed sum of the averages T(x_i, y_j), row by row
+        value = np.array([math.fsum(
+            s * expectation(ExperimentConfig(n_plus, n_minus, (row[i],) * counts[0]
+                                             + (row[2 + j],) * counts[2]),
                             spec.party_layout, law=law)
-            for (i, j), s in zip(np.ndindex(2, 2), _CHSH))
+            for (i, j), s in zip(np.ndindex(2, 2), _CHSH)) for row in rows])
         if slopes:
             # dT(x_i, y_j)/dx_i = -dT/dy_j = -sum_d d c_d sin(d (x_i - y_j)), signed per pair
             series = _series(law, int(n_plus), int(n_minus), spec.party_layout)
             d = np.arange(series.size)
-            chi = (rows[:2] - rows[2:, 0]).reshape(-1, 1)  # pair 2i + j
-            signed = (_CHSH * (np.sin(chi * d) @ (d * series))).reshape(2, 2)
-            grad = np.concatenate([-signed.sum(axis=1), signed.sum(axis=0)])
+            chi = (rows[:, :2, None] - rows[:, None, 2:]).reshape(batch, 4, 1)  # pair 2i + j
+            signed = (_CHSH * (np.sin(chi * d) @ (d * series))).reshape(batch, 2, 2)
+            grad = np.concatenate([-signed.sum(axis=2), signed.sum(axis=1)], axis=1)
+    elif slopes and batch > 1 and 4 * rows.size * (m + 1) > exact._TREE_BUDGET:
+        # the batch's slopes would pass the table budget, which one row may not: halve it
+        value, grad = map(np.concatenate, zip(*(
+            bell_value(spec, half, n_plus, n_minus, law=law, slopes=True)
+            for half in np.array_split(rows, 2))))
     else:
         kernel = exact._Law.for_law(law, n_plus, n_minus, m)
-        f, by_angle = (kernel.cosine_products(rows, powers, slopes=True) if slopes
-                       else (kernel.cosine_products(rows, powers), None))
+        # slot-major, so that the blocks' slots lie along axis 0
+        flat, powers = rows.T.reshape(-1, 1), np.repeat(counts, batch)[:, None]
+        f, by_angle = (kernel.cosine_products(flat, powers, slopes=True) if slopes
+                       else (kernel.cosine_products(flat, powers), None))
+        f = f.reshape(slots, batch, -1)
         values, partners = _blocks(f)
-        value = prefactor * kernel.moment0 * float(values.prod(axis=0).mean()) + 0.0  # no -0.0
+        value = prefactor * kernel.moment0 * values.prod(axis=0).mean(axis=-1) + 0.0  # no -0.0
         if slopes:
             # d prod_b block_b / d f = f's partner times the other blocks
-            others = exact._others(values) * (prefactor * kernel.moment0 / f.shape[1])
-            grad = np.einsum("rk,rk->r", partners * np.repeat(others, 4, axis=0), by_angle)
+            others = exact._others(values) * (prefactor * kernel.moment0 / f.shape[-1])
+            grad = np.ascontiguousarray((partners * np.repeat(others, 4, axis=0)
+                                         * by_angle.reshape(f.shape)).sum(axis=-1).T)
+    if single:
+        value, grad = float(value[0]), grad[0] if slopes else None
     return (value, grad) if slopes else value
 
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from fockbell.exact import (
+    _Law,
     all_sequence_probabilities,
     classical_all_probabilities,
     classical_product_correlation,
@@ -332,3 +333,16 @@ def test_plus_count_past_the_table(n_plus, n_minus, count, value, turns):
     got = expectation(ExperimentConfig(n_plus, n_minus, (qa * math.pi / 2,) * count
                                        + (qb * math.pi / 2,) * count), [(count, f), (count, f)])
     assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("n_plus,n_minus,m", [
+    (50, 50, 100), (300, 300, 600), (1000, 1000, 2000), (3000, 3000, 6000),
+    (10**6, 10**6, 6000), (4000, 2500, 6000), (7, 500, 80), (123457, 7, 10), (0, 40, 14)])
+def test_moment0_is_rounded_once(n_plus, n_minus, m):
+    # r_(M/2) = 2**M [n_plus]_h [n_minus]_h / [N]_M, h = M/2, the factor of every product
+    # average, rounded once: the exponential of summed logs is off by 4.0e-12 at N = M = 6000
+    h = m // 2
+    want = Fraction(falling(n_plus, h) * falling(n_minus, h) << m, falling(n_plus + n_minus, m))
+    got = _Law.for_law("exact", n_plus, n_minus, m).moment0
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**15) * want
+    assert _Law.for_law("exact", n_plus, n_minus, m + 1).moment0 == 0.0

@@ -460,6 +460,30 @@ class TestBellGradient:
             assert value == bell_value(spec, angles, n, spec.m - n, law=law)
             assert slopes.shape == (len(angles),)
 
+    @pytest.mark.parametrize("spec, law", SLOPE_CASES)
+    def test_rows_are_single_assignments(self, spec, law):
+        # a (B, slots) array is B assignments: row b's value and slopes are those of
+        # assignment b alone
+        n = (spec.m + 1) // 2
+        rows = np.random.default_rng(109).uniform(-np.pi, np.pi, (5, 4 * spec.block_count))
+        values, slopes = bell_value(spec, rows, n, spec.m - n, law=law, slopes=True)
+        single = [bell_value(spec, row, n, spec.m - n, law=law, slopes=True) for row in rows]
+        assert values.shape == (5,) and slopes.shape == rows.shape
+        np.testing.assert_allclose(values, [v for v, _ in single], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(slopes, [g for _, g in single], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(bell_value(spec, rows, n, spec.m - n, law=law), values)
+
+    def test_batch_past_the_budget_is_halved(self, monkeypatch):
+        spec = BellFunctionalSpec.bchsh(1000, 1000)
+        rows = np.random.default_rng(127).uniform(-np.pi, np.pi, (3, 4))
+        whole = bell_value(spec, rows, 1000, 1000, slopes=True)
+        # one row's slopes, 4 settings x 2001 nodes, fit a quarter of this budget; two do not
+        monkeypatch.setattr(exact, "_TREE_BUDGET", 16 * 2001)
+        for got, want in zip(bell_value(spec, rows, 1000, 1000, slopes=True), whole):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="budget"):
+            bell_value(BellFunctionalSpec.bchsh(1001, 1000), rows, 1001, 1000, slopes=True)
+
     def test_slope_memory_does_not_grow_with_m_squared(self):
         # one cosine power per setting: per-measurement slopes would take 4 x 1000 x 2001
         # floats in each of several arrays, 384 MB at the peak

@@ -168,17 +168,40 @@ class TestMaximizeFree:
         (BellFunctionalSpec.double_bchsh((2, 2, 2, 2)), 4, "gaussian"),
     ], ids=["double", "plus-count", "gaussian"])
     def test_one_bell_value_call_per_point(self, spec, n, law, monkeypatch):
-        # the value and the gradient of a BFGS point come from one pass
-        calls = []
+        # the value and the gradient of a point come from one pass, and every pass takes
+        # one point of each restart still running, so the rows add up to the points
+        rows = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["slopes"])
+            assert kwargs["slopes"]
+            rows.append(len(args[1]))
             return bell_value(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "bell_value", counted)
         res = maximize_free(spec, n, n, restarts=3, seed=6, law=law)
-        assert len(calls) == sum(r.nfev for r in res.restarts)
-        assert all(calls)
+        assert sum(rows) == sum(r.nfev for r in res.restarts)
+        assert rows[0] == 3 and rows == sorted(rows, reverse=True)
+
+    @pytest.mark.parametrize("spec, n", [
+        (BellFunctionalSpec.double_bchsh((1, 2, 1, 2)), 3),
+        (BellFunctionalSpec.bchsh(2, 2, PartyFunctional.binned_sign()), 2),
+    ], ids=["product", "plus-count"])
+    def test_restarts_stay_independent(self, spec, n):
+        # a restart's path does not depend on which others run beside it
+        three = maximize_free(spec, n, n, restarts=3, seed=9)
+        six = maximize_free(spec, n, n, restarts=6, seed=9)
+        assert three.restarts == six.restarts[:3]
+
+    def test_restart_records_hold_start_and_end(self):
+        spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
+        res = maximize_free(spec, 2, 2, restarts=4, seed=3)
+        best = max(res.restarts, key=lambda r: r.value)
+        np.testing.assert_array_equal(res.angles, best.end)
+        for r in res.restarts:
+            assert len(r.start) == len(r.end) == 8 and r.start[0] == r.end[0] == 0.0
+            assert bell_value(spec, r.end, 2, 2) == r.value
+        still = maximize_free(spec, 2, 2, restarts=1, seed=3, maxiter=0).restarts[0]
+        assert still.start == still.end == res.restarts[0].start
 
     def test_iteration_cap_leaves_restart_unconverged(self):
         spec = BellFunctionalSpec.double_bchsh((1, 1, 1, 1))
