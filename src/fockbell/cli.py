@@ -6,8 +6,8 @@ parameters); 3 for numeric infeasibility, :class:`phase.ConditioningError` (a
 history of zero probability) and ``MemoryError``.
 All output is locale-independent ('.' decimal point, 15 significant digits)
 and deterministic given config plus seed.
-Only ``qmax`` and ``scan`` load SciPy, at their first search; ``correlate``,
-``sample``, ``phase`` and ``oracle-check`` start without it.
+SciPy is loaded only to weigh a plus-count party (``qmax`` and ``scan`` on such a
+layout), at the first weighing; every other command runs on numpy alone.
 """
 from __future__ import annotations
 

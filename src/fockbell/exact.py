@@ -10,7 +10,8 @@ a trigonometric polynomial of degree M, which M + 1 equispaced nodes integrate
 exactly.  Plus-count parties in ``functional`` take the Dicke weights
 themselves.  The closed forms (the two-angle factorial sum, the correction
 factor) and the Gaussian approximation of a product correlation sit beside
-them; the test suite holds the routes against each other.
+them; the test suite holds the routes against each other.  Everything here
+runs on numpy alone; the factorial sum takes its terms' logs with 0 log 0 = 0.
 """
 from __future__ import annotations
 
@@ -315,22 +316,25 @@ def _closed_form_sum(n: int, p: int, chi) -> np.ndarray:
     Every term has the sign of cos(chi)**p, so a plain sum of their moduli is
     accurate; each modulus is one exponential of its logarithm, since the
     coefficient alone can leave the float range where the term does not.  The
-    (terms x angles) matrix is built for slices of about 2**18 / p angles,
-    so memory does not grow with p.
+    (angles x terms) matrix is built for slices of about 2**18 / p angles,
+    so memory does not grow with p, and each angle's terms are summed along
+    their own row, so an angle gets the same float in any batch.
     """
-    log_c, k = _closed_form_log_coefficients(n, p)[:, None], np.arange(p // 2 + 1)[:, None]
-    x = np.atleast_1d(np.asarray(chi, dtype=float))
+    log_c, k = _closed_form_log_coefficients(n, p), np.arange(p // 2 + 1)
+    x = np.atleast_1d(np.asarray(chi, dtype=float))[:, None]
     width = max(1, 2**18 // k.size)
 
-    # imported here, not at module level: SciPy takes most of a cold start
-    from scipy.special import xlogy
+    def xlogy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a log b with 0 log 0 = 0: the k = 0 term has no sine, the k = p/2 term no cosine."""
+        with np.errstate(divide="ignore"):  # log 0 = -inf, so a term with that factor is 0
+            return np.multiply(a, np.log(b), out=np.zeros((b.size, a.size)), where=a > 0)
 
     def part(s: np.ndarray) -> np.ndarray:
         sin, cos = np.abs(np.sin(s)), np.cos(s)
         terms = np.exp(log_c + xlogy(2 * k, sin) + xlogy(p - 2 * k, np.abs(cos)))
-        return terms.sum(axis=0) * np.where(cos < 0.0, (-1.0) ** p, 1.0)
+        return terms.sum(axis=1) * np.where(cos[:, 0] < 0.0, (-1.0) ** p, 1.0)
 
-    return np.concatenate([part(s) for s in np.split(x, range(width, x.size, width))])
+    return np.concatenate([part(s) for s in np.split(x, range(width, len(x), width))])
 
 
 def correlation_closed_form(n: int, p: int, chi: float) -> float:

@@ -294,6 +294,25 @@ class TestClosedForm:
             assert correlation_closed_form(n, p, chi) == pytest.approx(
                 correlation_e(cfg), abs=1e-9)
 
+    @pytest.mark.parametrize("n,p", [(8, 3), (8, 4), (12, 5), (12, 6)])
+    def test_vanishing_sine(self, n, p):
+        # sin 0 is exactly 0, where the k = 0 term takes sin**0 = 1 and the others vanish;
+        # at pi the sign is (-1)**p.  No float angle has a cosine of exactly 0; at pi/2 the
+        # k = p/2 term of an even p takes cos**0 = 1.  Any RuntimeWarning fails the test
+        chi = np.array([0.0, -0.0, math.pi, -math.pi, math.pi / 2])
+        got = exact._closed_form_sum(n, p, chi)
+        assert got == pytest.approx([closed_form_fraction_oracle(n, p, x) for x in chi],
+                                    rel=1e-13, abs=1e-15)
+        assert got[:4].tolist() == [1.0, 1.0, (-1) ** p, (-1) ** p]
+
+    @pytest.mark.parametrize("n,p", [(8, 3), (100, 50), (4000, 2000), (20000, 10000)])
+    def test_grid_is_scalar_bit_for_bit(self, n, p):
+        # each angle's terms are summed in their own row, in the same order in a batch of
+        # one as in a grid built in several slices
+        chi = np.linspace(0.0, 3 * math.pi / 2, 301)
+        assert exact._closed_form_sum(n, p, chi).tolist() == [
+            correlation_closed_form(n, p, x) for x in chi]
+
     @pytest.mark.parametrize("n", [100, 1100, 2100, 2600, 3100])
     def test_benchmark_fan_range_against_exact_coefficients(self, n):
         # the fan scan's p = 50 over n = 100..3100, against the sum taken in exact

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from fockbell import optimizer
-from fockbell.exact import correlation_closed_form
+from fockbell.exact import _closed_form_sum, correlation_closed_form
 from fockbell.functional import bell_value, expectation
 from fockbell.model import BellFunctionalSpec, ExperimentConfig, PartyFunctional
 from fockbell.optimizer import (
@@ -68,6 +68,20 @@ class TestMaximizeFan:
         res = maximize_fan(BellFunctionalSpec.bchsh(p, n - p), n)
         assert grid[max(i - 1, 0)] <= res.chi <= grid[min(i + 1, grid.size - 1)]
         assert res.q_max >= values[i] - 1e-15
+
+    # q_max at commit 413fc1e, which refined the grid's best node with SciPy's bounded
+    # scalar minimizer (xatol 1e-10) in place of the finer grids
+    @pytest.mark.parametrize("n,p,q_max", [
+        (2, 1, 2.82842712474619), (4, 2, 2.276142374915397), (64, 32, 2.3265320204906623),
+        (4000, 2000, 2.3245276544703715), (10000, 2, 2.4141721368743077)])
+    def test_q_max_pinned_and_above_the_grid(self, n, p, q_max):
+        res = maximize_fan(BellFunctionalSpec.bchsh(p, n - p), n)
+        assert res.q_max == pytest.approx(q_max, rel=0, abs=1e-12)
+        grid = np.linspace(1e-9, math.pi / 2, 4097)
+        assert res.q_max >= max(3 * _closed_form_sum(n, p, grid)
+                                - _closed_form_sum(n, p, 3 * grid))
+        if n == 2:
+            assert res.chi == pytest.approx(math.pi / 4, rel=0, abs=1e-7)
 
     def test_scan_memory_does_not_grow_with_p(self):
         # a term matrix of the whole grid would hold 1001 x 4097 floats per array
