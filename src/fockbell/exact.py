@@ -4,7 +4,10 @@ Every route reads one law object, :class:`_Law`, cached per (law, n_plus,
 n_minus, M): the weights of the Dicke states of the M measured spins, which
 the Lambda integral of the paper's double integral gives in closed form and
 which are kept as logs, so nothing grows with N.  The probability of a single
-history is a weighted sum over the M + 1 coefficients of one polynomial.  A
+history is a weighted sum over the M + 1 coefficients of one polynomial.  The
+table of all 2**M histories grows those polynomials as one tree for a whole
+batch of angle rows, over only the live band of coefficients that can still
+reach a weighted one; each row gets the floats it gets on its own.  A
 product average separates into the law's zeroth moment times a lambda mean of
 a trigonometric polynomial of degree M, which M + 1 equispaced nodes integrate
 exactly.  Plus-count parties in ``functional`` take the Dicke weights
@@ -235,26 +238,70 @@ class _Law:
         return row, exponent
 
     def table(self, angles) -> np.ndarray:
-        """All 2**M sequence probabilities, bit j of the index set when outcome j is +1.
+        """All 2**M sequence probabilities, bit j of the index set when outcome j is +1;
+        for a (B, M) batch of angle rows, one table per row, shape (B, 2**M).
 
         Each is its row's share of the total mass, so neither r's scale nor the
-        modulus of zeta_j enters.  The rows double once per outcome; products
-        commute, so the last outcomes are fixed first, one slice each, and the
-        first ``low`` outcomes run inside a slice, as many as the budget allows.
+        modulus of zeta_j enters.  The coefficients are stored coefficient-major,
+        (M + 1, rows, outcomes), and one preallocated tree doubles in place once per
+        outcome, the new outcome's -1 half over the old rows.  Only the live band is
+        computed: after j of the M results, coefficient k can still reach a weighted
+        one only for max(0, k_lo - (M - j)) <= k <= min(j, k_hi), where k_lo..k_hi are
+        the finite entries of ``logs(M)``; at M = N that is k = n_minus alone.
+        Products commute, so the last outcomes are fixed first, one slice each, and
+        the first ``low`` outcomes run inside a slice, as many as the budget allows
+        for one row; the batch goes in chunks of as many rows as fit beside them.
+        Every row gets the same floats as on its own.
         """
-        m = len(angles)
+        rows = np.asarray(angles, dtype=float)
+        batch = np.atleast_2d(rows)
+        m = batch.shape[1]
         if m > _MAX_TREE_M:
             raise ValueError(f"full outcome table limited to M <= {_MAX_TREE_M}, got {m}")
+        logs = self.logs(m)
+        k_lo, k_hi = np.flatnonzero(np.isfinite(logs))[[0, -1]]
         low = min(m, max(0, (_TREE_BUDGET // (2 * (m + 1))).bit_length() - 1))
+        chunk = max(1, _TREE_BUDGET // (2 * (m + 1) << low))
+        zetas = np.exp(-0.5j * batch.T)[:, None, :, None]  # (M, 1, B, 1), as the tree's axes
 
-        def tree(rows, angles):
-            for phi in angles:
-                rows = np.concatenate([self.extend(rows, phi, eta) for eta in (-1, 1)])
-            return rows
+        def grow(tree, j, zetas):
+            """Double the rows in ``tree``, after j results, by each factor in turn."""
+            for step, zeta in enumerate(zetas):
+                w, j = 1 << step, j + 1
+                lo, hi = max(0, k_lo - (m - j)), min(j, k_hi) + 1  # live after j results
+                old, new = tree[..., :w], tree[..., w:2 * w]
+                kept = old[lo:min(hi, j)] * zeta.conjugate()  # k = lo..min(hi - 1, j - 1)
+                shifted = zeta * old[max(lo, 1) - 1:hi - 1]   # k = max(lo, 1)..hi - 1
+                both = slice(max(lo, 1), min(hi, j))
+                np.add(kept[both.start - lo:], shifted[:both.stop - both.start], out=new[both])
+                np.subtract(kept[both.start - lo:], shifted[:both.stop - both.start],
+                            out=old[both])  # outcome -1, over the old rows
+                if lo == 0:
+                    new[0] = old[0] = kept[0]
+                if hi > j:  # the new top coefficient comes from the shift alone
+                    new[j], old[j] = shifted[-1], -shifted[-1]
 
-        mass = np.concatenate([self.mass(tree(row[None], angles[:low]), self.logs(m))
-                               for row in tree(np.ones((1, 1), dtype=complex), angles[low:])])
-        return mass / mass.sum()
+        out = np.empty((len(batch), 1 << m))
+        for start in range(0, len(batch), chunk):
+            part = slice(start, start + chunk)
+            b = len(batch[part])
+            top = np.zeros((m + 1, b, 1 << (m - low)), dtype=complex)
+            top[0] = 1.0
+            grow(top, 0, zetas[low:, :, part])
+            tree = np.empty((m + 1, b, 1 << low), dtype=complex)
+            for h in range(top.shape[2]):
+                tree[:, :, 0] = top[:, :, h]
+                grow(tree, m - low, zetas[:low, :, part])
+                if k_lo == k_hi:  # one weight, exp(0) = 1: the sum that mass takes
+                    live = tree[k_lo]
+                    mass = live.real ** 2 + live.imag ** 2
+                else:  # the rows as mass takes them, for its order of summation
+                    pairs = np.zeros((b, 1 << low, m + 1), dtype=complex)
+                    pairs[..., k_lo:k_hi + 1] = tree[k_lo:k_hi + 1].transpose(1, 2, 0)
+                    mass = self.mass(pairs, logs)
+                out[part, h << low:(h + 1) << low] = mass
+        out /= out.sum(axis=-1, keepdims=True)
+        return out.reshape(rows.shape[:-1] + (1 << m,))
 
 
 def _product(kernel: _Law, rows) -> np.ndarray:

@@ -65,23 +65,28 @@ def w_state(n_plus: int, n_minus: int) -> SpinStateVector:
 
 
 def oracle_all_probabilities(state: SpinStateVector, angles) -> np.ndarray:
-    """All 2**n outcome probabilities at once.
+    """All 2**n outcome probabilities at once; for a (B, n) batch of angle rows, one
+    table per row, shape (B, 2**n).
 
     Each projector is rank one, so the joint distribution is the squared
     amplitude vector after rotating every spin into its measurement basis;
     n butterfly passes of O(2**n) work replace 2**n separate projector
-    chains.  Index bit j set means spin j gave +1.
+    chains, and a batch runs them once, with the rows on one more axis, each
+    row getting the same floats as on its own.  Index bit j set means spin j
+    gave +1.
     """
-    angles = _finite_angles(angles)
-    if len(angles) != state.n:
+    rows = np.asarray(angles, dtype=float)
+    _finite_angles(rows.ravel())
+    if rows.ndim not in (1, 2) or rows.shape[-1] != state.n:
         raise ValueError("need exactly one angle per spin")
-    amps = state.amplitudes.copy()
+    batch = np.atleast_2d(rows)
+    amps = np.repeat(state.amplitudes[None], len(batch), axis=0)
     inv_sqrt2 = 1.0 / sqrt(2.0)
-    for spin, phi in enumerate(angles):
-        pairs = amps.reshape(2 ** (state.n - 1 - spin), 2, 2 ** spin)
-        up = pairs[:, 1].copy()
-        rotated = np.exp(-1j * phi) * pairs[:, 0]
+    for spin, phi in enumerate(batch.T):
+        pairs = amps.reshape(len(batch), 2 ** (state.n - 1 - spin), 2, 2 ** spin)
+        up, down = pairs[:, :, 1], pairs[:, :, 0]
+        rotated = np.exp(-1j * phi)[:, None, None] * down
         # rows of the basis change: <e_eta| = (<up| + eta e^{-i phi} <down|)/sqrt2
-        pairs[:, 1] = (up + rotated) * inv_sqrt2
-        pairs[:, 0] = (up - rotated) * inv_sqrt2
-    return np.abs(amps) ** 2
+        np.multiply(np.subtract(up, rotated, out=down), inv_sqrt2, out=down)
+        np.multiply(np.add(up, rotated, out=up), inv_sqrt2, out=up)
+    return (np.abs(amps) ** 2).reshape(rows.shape[:-1] + amps.shape[-1:])

@@ -163,8 +163,11 @@ def _sample_batch(law: exact._Law, angles, u: np.ndarray) -> np.ndarray:
     state's lowest-index chain.
     """
     count, m = u.shape
-    column = np.unique(np.asarray(angles, dtype=float), return_inverse=True)[1].reshape(-1)
-    plus = np.zeros((count, column.max() + 1), dtype=np.int32)
+    distinct, first_seen, column = np.unique(np.asarray(angles, dtype=float),
+                                             return_index=True, return_inverse=True)
+    repeated = np.ones(m, dtype=bool)
+    repeated[first_seen] = False
+    plus = np.zeros((count, distinct.size), dtype=np.int32)
     state = np.zeros(count, dtype=np.intp)       # row of each chain
     rows = np.ones((1, 1), dtype=complex)
     etas = np.empty((count, m), dtype=np.int8)
@@ -173,27 +176,39 @@ def _sample_batch(law: exact._Law, angles, u: np.ndarray) -> np.ndarray:
         eta = np.where(u[:, j] < prob_plus[state], 1, -1).astype(np.int8)
         etas[:, j] = eta
         plus[:, column[j]] += eta > 0
-        first, inverse = _group_rows(plus)
+        first, inverse = _regroup(state, eta > 0, plus if repeated[j] else None)
         rows = branches[(eta[first] > 0).astype(np.intp), state[first]]
         law.rescale(rows)
         state = inverse
     return etas
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)[1:]``.
+def _regroup(state: np.ndarray, up: np.ndarray, plus: np.ndarray | None = None):
+    """The chains' new states after one more result, each state represented by its
+    lowest-index chain: (lowest chains, new state of each chain).
 
-    One stable lexicographic sort: the distinct rows come in ascending order,
-    each represented by its lowest index.
+    A chain's new count vector is its state's plus its result, so one integer key
+    per chain, its state and result, finds the new states.  Where the angle was
+    measured before, (s, +1) and (t, -1) meet when t has one more +1 there; pass
+    the chains' count vectors ``plus`` then, and the keys are merged by their
+    vectors, each read as one byte string.
     """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    key = 2 * state + up
+
+    def lowest(labels, chains):
+        """The smallest of ``chains`` under each label."""
+        out = np.full(labels.max() + 1, len(key))
+        np.minimum.at(out, labels, chains)
+        return out
+
+    inverse = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+    first = lowest(inverse, np.arange(len(key)))
+    if plus is not None:
+        vectors = plus[first]
+        bytes_ = vectors.view(np.dtype((np.void, vectors.itemsize * vectors.shape[1])))
+        merged = np.unique(bytes_.ravel(), return_inverse=True)[1].reshape(-1)
+        first, inverse = lowest(merged, first), merged[inverse]
+    return first, inverse
 
 
 def sample_sequences(config: ExperimentConfig, count: int, seed: int, *,

@@ -243,6 +243,25 @@ class TestOracleCheck:
         code, _, _ = run(capsys, ["oracle-check", "--n-max", "11"])
         assert code == 2
 
+    def test_output_is_pinned(self, capsys):
+        # the per-n gaps and the worst case depend on every probability's last bits,
+        # so a batched or reordered sweep that moves a rounding shows here
+        code, out, _ = run(capsys, ["oracle-check", "--n-max", "6", "--angle-sets", "5",
+                                    "--seed", "3"])
+        assert code == 0
+        assert out == (
+            "n=2: max |oracle - exact| = 2.776e-16\n"
+            "n=3: max |oracle - exact| = 1.665e-16\n"
+            "n=4: max |oracle - exact| = 2.776e-16\n"
+            "n=5: max |oracle - exact| = 2.776e-16\n"
+            "n=6: max |oracle - exact| = 3.053e-16\n"
+            "swept n = 2..6, every population split, 5 angle sets each, "
+            "all outcome sequences\n"
+            "max |oracle - exact| = 3.053e-16\n"
+            "worst case: n=6, n_plus=3, angles=[0.460719, 0.588047, 0.486622, 2.523204, "
+            "2.828988, -2.818644]\n"
+            "PASS\n")
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path, capsys):

@@ -142,16 +142,47 @@ class TestSequenceProbability:
     @pytest.mark.parametrize("law", ["exact", "classical"])
     def test_table_slices_agree(self, monkeypatch, law):
         # a budget of a few rows fixes the last outcomes first, one slice each;
-        # the products are taken in another order, so they agree to round-off
+        # the products are taken in another order, so they agree to round-off.
+        # A batch goes in chunks of rows beside the slices, each row as on its own
         rng = np.random.default_rng(29)
         angles = tuple(rng.uniform(-np.pi, np.pi, 9))
+        batch = rng.uniform(-np.pi, np.pi, (5, 9))
         cfg = ExperimentConfig(6, 5, angles)
+        kernel = _Law.for_law(law, 6, 5, 9)
         table = {"exact": lambda: all_sequence_probabilities(cfg),
                  "classical": lambda: classical_all_probabilities(angles)}[law]
-        whole = table()
+        whole, whole_batch = table(), kernel.table(batch)
         for budget in (2 * (9 + 1) * 8, 1):
             monkeypatch.setattr(exact, "_TREE_BUDGET", budget)
             np.testing.assert_allclose(table(), whole, rtol=1e-14, atol=0)
+            sliced = kernel.table(batch)
+            np.testing.assert_allclose(sliced, whole_batch, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(sliced, [kernel.table(row) for row in batch])
+
+    def test_batched_table_is_rowwise_bit_for_bit(self):
+        # every split with N <= 10 and every M <= N, under both laws: a (B, M) batch
+        # gives each row the floats of a call on that row alone, and those are the
+        # floats of the whole tree without the live band, since the coefficients
+        # it skips never reach a weighted one
+        rng = np.random.default_rng(31)
+
+        def unbanded(kernel, angles):
+            rows = np.ones((1, 1), dtype=complex)
+            for phi in angles:
+                rows = np.concatenate([kernel.extend(rows, phi, eta) for eta in (-1, 1)])
+            mass = kernel.mass(rows, kernel.logs(len(angles)))
+            return mass / mass.sum()
+
+        splits = [("exact", n_plus, n - n_plus) for n in range(1, 11) for n_plus in range(n + 1)]
+        for law, n_plus, n_minus in splits + [("classical", 0, 0)]:
+            for m in range(n_plus + n_minus + 1 if law == "exact" else 11):
+                kernel = _Law.for_law(law, n_plus, n_minus, m)
+                batch = rng.uniform(-np.pi, np.pi, (3, m))
+                got = kernel.table(batch)
+                assert got.shape == (3, 2 ** m)
+                for row, table in zip(batch, got):
+                    np.testing.assert_array_equal(table, kernel.table(tuple(row)))
+                    np.testing.assert_array_equal(table, unbanded(kernel, row))
 
     @pytest.mark.parametrize("n_plus,n_minus,m,seed", [
         (1, 1, 2, 0), (2, 2, 4, 1), (3, 2, 4, 2), (4, 4, 6, 3),

@@ -71,6 +71,20 @@ class TestWState:
         with pytest.raises(ValueError, match="finite"):
             oracle_all_probabilities(w_state(1, 1), [bad, 0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_in_batch_rejected(self, bad):
+        angles = np.full((3, 2), 0.1)
+        angles[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            oracle_all_probabilities(w_state(1, 1), angles)
+
+    @pytest.mark.parametrize("angles", [
+        np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((2, 2, 2)), [[0.1, 0.2], [0.3]],
+    ], ids=["long-rows", "short-rows", "three-axes", "ragged"])
+    def test_batch_row_length_checked(self, angles):
+        with pytest.raises(ValueError):
+            oracle_all_probabilities(w_state(1, 1), angles)
+
 
 class TestTripletProbabilities:
     def test_equal_angles_forbid_anticorrelation(self):
@@ -124,6 +138,17 @@ class TestOracleEquivalence:
                     amps = moveaxis_projector(amps, n, spin, angles[spin], etas[spin])
                 want = max(complex(np.vdot(state.amplitudes, amps)).real, 0.0)
                 assert oracle_sequence_probability(state, angles[:m], etas) == want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batch_is_rowwise_bit_for_bit(self, n):
+        rng = np.random.default_rng(200 + n)
+        for n_plus in range(n + 1):
+            state = w_state(n_plus, n - n_plus)
+            batch = rng.uniform(-np.pi, np.pi, (4, n))
+            got = oracle_all_probabilities(state, batch)
+            assert got.shape == (4, 2 ** n)
+            for row, table in zip(batch, got):
+                np.testing.assert_array_equal(table, oracle_all_probabilities(state, list(row)))
 
     def test_joint_normalization(self):
         state = w_state(3, 2)

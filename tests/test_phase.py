@@ -10,8 +10,8 @@ from fockbell.model import ExperimentConfig, OutcomeSequence, PhaseDistribution
 from fockbell.phase import (
     ConditioningError,
     _branches,
-    _group_rows,
     _philox_uniforms,
+    _regroup,
     _sample_batch,
     peak_statistics,
     phase_posterior,
@@ -295,18 +295,29 @@ class TestSampling:
         np.testing.assert_array_equal(sample_sequences(cfg, 50, seed=5),
                                       sample_sequences(cfg, 50, seed=2**64 + 5))
 
-    @pytest.mark.parametrize("rows", [
-        np.array([[0, 1], [0, 0], [0, 1], [1, 0], [0, 0], [2, 0]]),
-        np.random.default_rng(4).integers(0, 2, (300, 3)),
-        np.random.default_rng(5).integers(0, 3, (500, 70)),
+    @pytest.mark.parametrize("count,columns,seed", [
+        (6, (0, 0, 1, 0, 1, 1), 3),
+        (300, tuple(np.random.default_rng(4).integers(0, 3, 12)), 4),
+        (500, tuple(np.random.default_rng(5).integers(0, 70, 100)), 5),
     ], ids=["small", "few-columns", "wide"])
-    def test_grouping_matches_unique(self, rows):
-        rows = rows.astype(np.int32)
-        first, inverse = _group_rows(rows)
-        _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True,
-                                                return_inverse=True)
-        np.testing.assert_array_equal(first, want_first)
-        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+    def test_grouping_matches_unique(self, count, columns, seed):
+        # after every result, the relabelled states are the distinct count vectors,
+        # each represented by its lowest-index chain, as np.unique finds them
+        rng = np.random.default_rng(seed)
+        plus = np.zeros((count, max(columns) + 1), dtype=np.int32)
+        state, seen, merged = np.zeros(count, dtype=np.intp), set(), False
+        for c in columns:
+            up = rng.integers(0, 2, count).astype(bool)
+            plus[:, c] += up
+            keys = len(set(zip(state, up)))
+            first, state = _regroup(state, up, plus if c in seen else None)
+            seen.add(c)
+            merged |= len(first) < keys
+            _, want_first, want = np.unique(plus, axis=0, return_index=True, return_inverse=True)
+            assert len(set(zip(state, want.reshape(-1)))) == len(first) == len(want_first)
+            np.testing.assert_array_equal(np.sort(first), np.sort(want_first))
+            np.testing.assert_array_equal(state[first], np.arange(len(first)))
+        assert merged  # some (s, +1) met some (t, -1)
 
     @pytest.mark.parametrize("law", ["exact", "classical"])
     @pytest.mark.parametrize("half,angles,fewer_rows_than_chains", [
